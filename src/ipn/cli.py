@@ -3,7 +3,7 @@
 Commands: support | density | spikes | simulate | separation | verify-all.
 A JSON config file is the source of record; flags override its fields.
 Exit codes: 0 success, 1 validation error, 2 convergence error, 3 failed
-verification assertion.  IPN_THREADS caps trial-level parallelism.
+verification assertion.  The checks themselves live in ``simulate``.
 """
 
 from __future__ import annotations
@@ -17,22 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import measure, simulate, spikes as spikes_mod, stieltjes, subordination
+from . import simulate, spikes as spikes_mod, stieltjes, subordination
 from .errors import AmbiguousSpike, ConvergenceError, DomainError, PreconditionError
 from .measure import MeasureSpec
-from .simulate import SimConfig
+from .simulate import SimConfig, verify_all
 from .spikes import SpikeSpec
 from .subordination import ModelParams
-
-DEFAULT_CHECKS = {
-    "separation_min_pass": 0.95,
-    "outlier_tolerance": 0.15,
-    "mass_tolerance": 1e-3,
-    "ks_threshold": 0.05,
-    "inverse_pair_tolerance": 1e-9,
-    "chain_tolerance": 1e-7,
-    "h_tolerance": 1e-6,
-}
 
 
 @dataclass
@@ -117,8 +107,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raw = cfg["separation"]["gap"]
         gap = (float(raw[0]), float(raw[1]))
 
-    checks = dict(DEFAULT_CHECKS)
-    checks.update(cfg.get("checks", {}))
+    checks = dict(cfg.get("checks", {}))
 
     output = OutputSpec(
         path=getattr(args, "output", None) or cfg.get("output", {}).get("path", "-"),
@@ -192,28 +181,14 @@ def _cmd_density(rc: RunConfig) -> int:
     return 0
 
 
-def _spike_records(rc: RunConfig) -> list[dict]:
-    outcomes = spikes_mod.classify(rc.model, rc.spikes)
-    n = rc.spikes_n or (rc.sim.n if rc.sim else None)
-    records = []
-    prefix = 0
-    for outcome, k in zip(outcomes, rc.spikes.multiplicities):
-        if n is not None:
-            start = 1 + spikes_mod._count_above(rc.model, rc.spikes, n,
-                                                outcome.theta)
-        else:
-            # without a matrix size, rank among the spiked directions alone
-            start = 1 + prefix
-        rec = outcome.to_dict()
-        rec["ranks"] = [start, start + k - 1]
-        records.append(rec)
-        prefix += k
-    return records
-
-
 def _cmd_spikes(rc: RunConfig) -> int:
+    outcomes = spikes_mod.classify(rc.model, rc.spikes)
+    ranks = spikes_mod.spike_ranks(rc.model, rc.spikes, rc.spikes_n)
+    records = [{**outcome.to_dict(), "ranks": [start, start + k - 1]}
+               for outcome, k, start in zip(outcomes, rc.spikes.multiplicities,
+                                            ranks)]
     _emit_report({"command": "spikes", "model": rc.model.to_dict(),
-                  "result": _spike_records(rc)}, rc.output)
+                  "result": records}, rc.output)
     return 0
 
 
@@ -236,152 +211,19 @@ def _cmd_simulate(rc: RunConfig) -> int:
 def _cmd_separation(rc: RunConfig) -> int:
     if rc.gap is None:
         raise ValueError("separation requires --gap A B or a config entry")
-    report = simulate.verify_separation(rc.sim, rc.gap)
+    simulate.omega_gap(rc.model, rc.gap)  # reject a bad gap before sampling
+    report = simulate.verify_separation(rc.sim, rc.gap, simulate.run_trials(rc.sim))
     _emit_report({"command": "separation", "model": rc.model.to_dict(),
                   "result": report.to_dict()}, rc.output)
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify-all
-# ---------------------------------------------------------------------------
-
-def _verification_grid(sup: subordination.SupportResult) -> list[float]:
-    """Deterministic off-support probe points spanning every gap."""
-    pts: list[float] = []
-    span = sup.intervals[-1][1] - sup.intervals[0][0] + 1.0
-    lo0 = sup.intervals[0][0]
-    if lo0 > 0.0:
-        pts.extend(lo0 * f for f in (0.25, 0.5, 0.75))
-    pts.extend(lo0 - span * f for f in (0.25, 0.75))
-    for (a_lo, a_hi), (b_lo, b_hi) in zip(sup.intervals, sup.intervals[1:]):
-        width = b_lo - a_hi
-        pts.extend(a_hi + width * f for f in (0.2, 0.5, 0.8))
-    hi_last = sup.intervals[-1][1]
-    pts.extend(hi_last + span * f for f in (0.1, 0.3, 0.8, 2.0))
-    return sorted(pts)
-
-
-def verify_all(rc: RunConfig) -> tuple[dict, bool]:
-    """Run the consolidated verification suite; returns (report, all_pass)."""
-    model = rc.model
-    checks_cfg = rc.checks
-    results: list[dict] = []
-
-    sup = subordination.support(model)
-    grid = _verification_grid(sup)
-
-    worst = 0.0
-    for x in grid:
-        u = subordination.omega(model, x)
-        worst = max(worst, abs(subordination.phi(model, u) - x) / max(1.0, abs(x)))
-    tol = checks_cfg["inverse_pair_tolerance"]
-    results.append({"name": "inverse_pair", "status": "pass" if worst <= tol else "fail",
-                    "max_residual": worst, "tolerance": tol, "points": len(grid)})
-
-    s2c = model.sigma ** 2 * model.c
-    worst_chain = 0.0
-    worst_h = 0.0
-    for x in grid[:12]:
-        gmu = stieltjes.solve_g(model, complex(x, 1e-9)).g
-        u = subordination.omega(model, x)
-        chain = abs(1.0 / (1.0 - s2c * gmu)
-                    - (1.0 + s2c * measure.g_nu(model.nu, u)))
-        worst_chain = max(worst_chain, chain)
-        worst_h = max(worst_h, stieltjes.h_residual(model, x))
-    ok = (worst_chain <= checks_cfg["chain_tolerance"]
-          and worst_h <= checks_cfg["h_tolerance"])
-    results.append({"name": "subordination_chain",
-                    "status": "pass" if ok else "fail",
-                    "max_chain_residual": worst_chain,
-                    "max_h_residual": worst_h,
-                    "chain_tolerance": checks_cfg["chain_tolerance"],
-                    "h_tolerance": checks_cfg["h_tolerance"]})
-
-    masses = stieltjes.interval_masses(model)
-    adm = sup.admissible
-    worst_mass = max(abs(m - measure.mass_between(model.nu, adm.u[l], adm.v[l]))
-                     for l, m in enumerate(masses))
-    tol = checks_cfg["mass_tolerance"]
-    results.append({"name": "mass_equality",
-                    "status": "pass" if worst_mass <= tol else "fail",
-                    "max_mass_error": worst_mass, "tolerance": tol,
-                    "interval_masses": list(masses)})
-
-    if rc.sim is None:
-        raise ValueError("verify-all requires a sim section")
-
-    gap = rc.gap
-    if gap is None and len(sup.intervals) >= 2:
-        widest = max(
-            ((a_hi, b_lo) for (_, a_hi), (b_lo, _) in
-             zip(sup.intervals, sup.intervals[1:])),
-            key=lambda g: g[1] - g[0])
-        width = widest[1] - widest[0]
-        gap = (widest[0] + 0.3 * width, widest[1] - 0.3 * width)
-    if gap is not None:
-        rep = simulate.verify_separation(rc.sim, gap)
-        ok = rep.pass_fraction >= checks_cfg["separation_min_pass"]
-        results.append({"name": "separation", "status": "pass" if ok else "fail",
-                        "pass_fraction": rep.pass_fraction, "i_N": rep.i_N,
-                        "gap": list(gap),
-                        "min_pass": checks_cfg["separation_min_pass"]})
-    else:
-        results.append({"name": "separation", "status": "skipped",
-                        "reason": "single support interval and no configured gap"})
-
-    samples = simulate.run_trials(rc.sim)
-
-    if rc.spikes.thetas:
-        outcomes = spikes_mod.classify(model, rc.spikes)
-        tol = checks_cfg["outlier_tolerance"]
-        spike_rows = []
-        ok = True
-        for outcome in outcomes:
-            rank_lo = 1 + spikes_mod._count_above(model, rc.spikes, rc.sim.n,
-                                                  outcome.theta)
-            observed = float(np.median(
-                [s.eigenvalues[rank_lo - 1] for s in samples]))
-            err = abs(observed - outcome.limit)
-            good = err <= tol
-            ok = ok and good
-            spike_rows.append({"theta": outcome.theta, "case": outcome.case_tag,
-                               "limit": outcome.limit, "rank": rank_lo,
-                               "median_observed": observed, "error": err})
-        results.append({"name": "outlier", "status": "pass" if ok else "fail",
-                        "tolerance": tol, "spikes": spike_rows})
-    else:
-        results.append({"name": "outlier", "status": "skipped",
-                        "reason": "no spikes configured"})
-
-    pooled = np.sort(np.concatenate([s.eigenvalues for s in samples]))
-    mcount = len(pooled)
-    model_cdf = np.array([stieltjes.cdf_mu(model, float(x)) for x in pooled])
-    ks = float(max(np.max(np.arange(1, mcount + 1) / mcount - model_cdf),
-                   np.max(model_cdf - np.arange(0, mcount) / mcount)))
-    tol = checks_cfg["ks_threshold"]
-    results.append({"name": "ks", "status": "pass" if ks <= tol else "fail",
-                    "distance": ks, "threshold": tol, "pooled": mcount})
-
-    all_pass = all(r["status"] != "fail" for r in results)
-    report = {
-        "command": "verify-all",
-        "model": model.to_dict(),
-        "spikes": rc.spikes.to_dict(),
-        "sim": {"n": rc.sim.n, "N": rc.sim.N, "entry_dist": rc.sim.entry_dist,
-                "seed": rc.sim.seed, "trials": rc.sim.trials},
-        "checks": results,
-        "all_pass": all_pass,
-    }
-    return report, all_pass
-
-
 def _cmd_verify_all(rc: RunConfig) -> int:
-    report, all_pass = verify_all(rc)
+    report = verify_all(rc.sim, rc.gap, rc.checks)
     for row in report["checks"]:
         print(f"{row['status'].upper():7s} {row['name']}", file=sys.stderr)
-    _emit_report(report, rc.output)
-    return 0 if all_pass else 3
+    _emit_report({"command": "verify-all", **report}, rc.output)
+    return 0 if report["all_pass"] else 3
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +315,16 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        rc = _resolve(args)
+        try:
+            rc = _resolve(args)
+        except (KeyError, TypeError) as exc:  # a config field missing or mistyped
+            raise ValueError(f"malformed config: {exc}") from exc
         return _DISPATCH[rc.command](rc)
-    except ConvergenceError as exc:
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, PreconditionError, AmbiguousSpike, ValueError,
-            KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+            OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,19 +1,20 @@
-"""Finite-size sampling of information-plus-noise matrices and verification.
+"""Finite-size sampling of information-plus-noise matrices, and the checks
+that verify the limit theory over those samples.
 
 The signal matrix is rectangular diagonal: spiked directions carry
 sqrt(theta_j), the rest carry square roots of deterministic quantiles of nu
 (so the empirical signal spectrum converges to nu with no sampling noise and
 stays uniformly close to supp(nu)).  Eigenvalues of the sample are squared
 singular values of sigma*X/sqrt(N) + A; the noise stream is counter-based
-per (seed, trial), so trials are reproducible and embarrassingly parallel.
+per (seed, trial), so trials are reproducible.  Each experiment is sampled
+once by ``run_trials``; every check (separation, inclusion, outliers, KS,
+and the ``verify_all`` suite) is a function over that list of samples.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,16 @@ from . import measure, spikes as spikes_mod, stieltjes, subordination
 from .errors import DomainError, PreconditionError
 from .spikes import SpikeSpec
 from .subordination import ModelParams
+
+DEFAULT_CHECKS = {
+    "separation_min_pass": 0.95,
+    "outlier_tolerance": 0.15,
+    "mass_tolerance": 1e-3,
+    "ks_threshold": 0.05,
+    "inverse_pair_tolerance": 1e-9,
+    "chain_tolerance": 1e-7,
+    "h_tolerance": 1e-6,
+}
 
 ENTRY_DISTS = ("complex-gaussian", "real-gaussian", "rademacher-complex")
 
@@ -57,10 +68,9 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class EigenSample:
-    """Descending eigenvalues of one sampled matrix and of its signal part."""
+    """Descending eigenvalues of one sampled matrix."""
 
     eigenvalues: np.ndarray
-    a_eigenvalues: np.ndarray
     trial_index: int
     seed_used: int
 
@@ -110,24 +120,11 @@ class InclusionReport:
 
 
 def build_A(model: ModelParams, spikes: SpikeSpec, n: int, N: int) -> np.ndarray:
-    """Diagonal entries of the n x N signal matrix.
-
-    The first r entries are sqrt(theta_j) repeated with multiplicity; the
-    remaining n - r are square roots of nu-quantiles at mid-levels
-    (i - 1/2)/(n - r), which keep the empirical signal law converging to nu
-    with vanishing distance to its support.
-    """
-    if spikes.r > n:
-        raise DomainError("spike multiplicities exceed the matrix size")
+    """Diagonal entries of the n x N signal matrix: square roots of
+    ``spikes.signal_eigenvalues``, in the same order."""
     if n > N:
         raise DomainError(f"need n <= N, got n={n}, N={N}")
-    d = []
-    for theta, k in zip(spikes.thetas, spikes.multiplicities):
-        d.extend([math.sqrt(theta)] * k)
-    bulk = n - spikes.r
-    for i in range(1, bulk + 1):
-        d.append(math.sqrt(measure.quantile(model.nu, (i - 0.5) / bulk)))
-    return np.asarray(d, dtype=float)
+    return np.sqrt(spikes_mod.signal_eigenvalues(model, spikes, n))
 
 
 def _noise(rng: np.random.Generator, shape: tuple[int, int],
@@ -147,18 +144,21 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_eigenvalues(cfg: SimConfig, trial: int) -> EigenSample:
+def sample_eigenvalues(cfg: SimConfig, trial: int,
+                       d: np.ndarray | None = None) -> EigenSample:
     """Eigenvalues of one sampled matrix, descending, deterministic in (seed, trial).
 
     Computed as squared singular values of sigma*X/sqrt(N) + A; the matrix
-    of squares is never formed.  With sigma = 0 the signal eigenvalues are
+    of squares is never formed.  ``d`` is the diagonal of A from ``build_A``,
+    built here when not given.  With sigma = 0 the signal eigenvalues are
     returned exactly.
     """
-    d = build_A(cfg.model, cfg.spikes, cfg.n, cfg.N)
-    a_eigs = np.sort(d * d)[::-1].copy()
     if cfg.model.sigma == 0.0:
-        return EigenSample(eigenvalues=a_eigs.copy(), a_eigenvalues=a_eigs,
+        signal = spikes_mod.signal_eigenvalues(cfg.model, cfg.spikes, cfg.n)
+        return EigenSample(eigenvalues=np.sort(signal)[::-1].copy(),
                            trial_index=trial, seed_used=cfg.seed)
+    if d is None:
+        d = build_A(cfg.model, cfg.spikes, cfg.n, cfg.N)
     rng = _trial_rng(cfg.seed, trial)
     Y = _noise(rng, (cfg.n, cfg.N), cfg.entry_dist) * (cfg.model.sigma
                                                        / math.sqrt(cfg.N))
@@ -170,18 +170,14 @@ def sample_eigenvalues(cfg: SimConfig, trial: int) -> EigenSample:
         raise np.linalg.LinAlgError(
             f"singular value decomposition failed on trial {trial}: {exc}"
         ) from exc
-    return EigenSample(eigenvalues=svals * svals, a_eigenvalues=a_eigs,
-                       trial_index=trial, seed_used=cfg.seed)
+    return EigenSample(eigenvalues=svals * svals, trial_index=trial,
+                       seed_used=cfg.seed)
 
 
 def run_trials(cfg: SimConfig) -> list[EigenSample]:
-    """All trials of the experiment; IPN_THREADS > 1 samples them in parallel."""
-    workers = int(os.environ.get("IPN_THREADS", "1") or "1")
-    if workers > 1 and cfg.trials > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda t: sample_eigenvalues(cfg, t),
-                                 range(cfg.trials)))
-    return [sample_eigenvalues(cfg, t) for t in range(cfg.trials)]
+    """All trials of the experiment, sharing one signal matrix."""
+    d = build_A(cfg.model, cfg.spikes, cfg.n, cfg.N)
+    return [sample_eigenvalues(cfg, t, d) for t in range(cfg.trials)]
 
 
 def _check_gap_clear(intervals, a: float, b: float) -> bool:
@@ -192,7 +188,29 @@ def _check_gap_clear(intervals, a: float, b: float) -> bool:
     return True
 
 
-def verify_separation(cfg: SimConfig, gap: tuple[float, float]) -> SeparationReport:
+def omega_gap(model: ModelParams, gap: tuple[float, float]) -> tuple[float, float]:
+    """[omega(a), omega(b)] for a spectral gap [a, b], after checking that the
+    gap is one separation applies to; call it before sampling to fail fast."""
+    a, b = float(gap[0]), float(gap[1])
+    if not a < b:
+        raise PreconditionError(f"gap must satisfy a < b, got {gap!r}")
+    if model.sigma == 0.0:
+        comps = measure.support_of(model.nu)
+        if not _check_gap_clear(comps.intervals, a, b):
+            raise PreconditionError("gap overlaps supp(nu) in the noiseless case")
+        return a, b
+    sup = subordination.support(model)
+    if not _check_gap_clear(sup.intervals, a, b):
+        raise PreconditionError("gap overlaps the computed support")
+    omega_a = subordination.omega(model, a)
+    omega_b = subordination.omega(model, b)
+    if model.c < 1.0 and omega_a <= 0.0:
+        raise PreconditionError("separation requires omega(a) > 0 when c < 1")
+    return omega_a, omega_b
+
+
+def verify_separation(cfg: SimConfig, gap: tuple[float, float],
+                      samples: list[EigenSample]) -> SeparationReport:
     """Check the exact-separation correspondence over a spectral gap [a, b].
 
     The index i_N counts signal eigenvalues above omega(b); separation holds
@@ -200,45 +218,24 @@ def verify_separation(cfg: SimConfig, gap: tuple[float, float]) -> SeparationRep
     sample spectrum splits at i_N around [a, b].
     """
     a, b = float(gap[0]), float(gap[1])
-    if not a < b:
-        raise PreconditionError(f"gap must satisfy a < b, got {gap!r}")
-    model = cfg.model
-    if model.sigma == 0.0:
-        comps = measure.support_of(model.nu)
-        if not _check_gap_clear(comps.intervals, a, b):
-            raise PreconditionError("gap overlaps supp(nu) in the noiseless case")
-        omega_a, omega_b = a, b
-    else:
-        sup = subordination.support(model)
-        if not _check_gap_clear(sup.intervals, a, b):
-            raise PreconditionError("gap overlaps the computed support")
-        omega_a = subordination.omega(model, a)
-        omega_b = subordination.omega(model, b)
-        if model.c < 1.0 and omega_a <= 0.0:
-            raise PreconditionError(
-                "separation requires omega(a) > 0 when c < 1")
-
-    samples = run_trials(cfg)
-    a_eigs = samples[0].a_eigenvalues
-    i_N = int(np.sum(a_eigs > omega_b))
-    a_ok_list = []
+    omega_a, omega_b = omega_gap(cfg.model, gap)
+    signal = spikes_mod.signal_eigenvalues(cfg.model, cfg.spikes, cfg.n)
+    i_N = int(np.sum(signal > omega_b))
+    a_ok = int(np.sum(signal >= omega_a)) == i_N
     m_ok_list = []
     for sample in samples:
-        ae = sample.a_eigenvalues
-        a_ok = i_N == cfg.n or ae[i_N] < omega_a
         ev = sample.eigenvalues
-        m_ok = ((i_N == cfg.n or ev[i_N] < a)
-                and (i_N == 0 or ev[i_N - 1] > b))
-        a_ok_list.append(bool(a_ok))
-        m_ok_list.append(bool(m_ok))
-    passed = [x and y for x, y in zip(a_ok_list, m_ok_list)]
+        m_ok_list.append(bool((i_N == cfg.n or ev[i_N] < a)
+                              and (i_N == 0 or ev[i_N - 1] > b)))
+    passed = [a_ok and m_ok for m_ok in m_ok_list]
     return SeparationReport(gap=(a, b), omega_gap=(omega_a, omega_b), i_N=i_N,
-                            a_count_ok=tuple(a_ok_list),
+                            a_count_ok=(a_ok,) * len(samples),
                             m_count_ok=tuple(m_ok_list),
                             pass_fraction=sum(passed) / len(passed))
 
 
-def verify_inclusion(cfg: SimConfig, epsilon: float) -> InclusionReport:
+def verify_inclusion(cfg: SimConfig, epsilon: float,
+                     samples: list[EigenSample]) -> InclusionReport:
     """Flag eigenvalues farther than epsilon from the predicted spectral set.
 
     The set is the computed support plus the predicted outlier locations
@@ -264,7 +261,7 @@ def verify_inclusion(cfg: SimConfig, epsilon: float) -> InclusionReport:
 
     offenders = []
     passed = []
-    for sample in run_trials(cfg):
+    for sample in samples:
         bad = tuple(float(x) for x in sample.eigenvalues if dist(float(x)) > epsilon)
         offenders.append(bad)
         passed.append(not bad)
@@ -273,19 +270,151 @@ def verify_inclusion(cfg: SimConfig, epsilon: float) -> InclusionReport:
                            pass_fraction=sum(passed) / len(passed))
 
 
-def empirical_cdf_distance(cfg: SimConfig) -> float:
+def empirical_cdf_distance(model: ModelParams, samples: list[EigenSample]) -> float:
     """Kolmogorov-Smirnov distance between pooled eigenvalues and the model CDF.
 
     Returns NaN (with a diagnostic warning) at sigma = 0, where the density
     inversion does not apply.
     """
-    if cfg.model.sigma == 0.0:
+    if model.sigma == 0.0:
         warnings.warn("empirical_cdf_distance is undefined at sigma = 0; "
                       "returning NaN", stacklevel=2)
         return math.nan
-    pooled = np.sort(np.concatenate([s.eigenvalues for s in run_trials(cfg)]))
+    pooled = np.sort(np.concatenate([s.eigenvalues for s in samples]))
     m = len(pooled)
-    model_cdf = np.array([stieltjes.cdf_mu(cfg.model, float(x)) for x in pooled])
+    model_cdf = np.array([stieltjes.cdf_mu(model, float(x)) for x in pooled])
     upper = np.max(np.arange(1, m + 1) / m - model_cdf)
     lower = np.max(model_cdf - np.arange(0, m) / m)
     return float(max(upper, lower))
+
+
+# ---------------------------------------------------------------------------
+# The consolidated verification suite
+# ---------------------------------------------------------------------------
+
+def _verification_grid(sup: subordination.SupportResult) -> list[float]:
+    """Deterministic off-support probe points spanning every gap."""
+    pts: list[float] = []
+    span = sup.intervals[-1][1] - sup.intervals[0][0] + 1.0
+    lo0 = sup.intervals[0][0]
+    if lo0 > 0.0:
+        pts.extend(lo0 * f for f in (0.25, 0.5, 0.75))
+    pts.extend(lo0 - span * f for f in (0.25, 0.75))
+    for (a_lo, a_hi), (b_lo, b_hi) in zip(sup.intervals, sup.intervals[1:]):
+        width = b_lo - a_hi
+        pts.extend(a_hi + width * f for f in (0.2, 0.5, 0.8))
+    hi_last = sup.intervals[-1][1]
+    pts.extend(hi_last + span * f for f in (0.1, 0.3, 0.8, 2.0))
+    return sorted(pts)
+
+
+def verify_all(sim: SimConfig, gap: tuple[float, float] | None,
+               checks: dict) -> dict:
+    """Run the consolidated verification suite on one experiment.
+
+    Analytic checks (inverse pair, subordination chain, mass equality) come
+    first; the experiment is then sampled once and the separation, outlier
+    and KS checks read those samples.  Without a gap, the middle 40% of the
+    widest spectral gap is used, and separation is skipped when the support
+    is one interval.  ``checks`` overrides entries of ``DEFAULT_CHECKS``.
+    The report's ``all_pass`` is false when any check fails.
+    """
+    model = sim.model
+    checks_cfg = {**DEFAULT_CHECKS, **checks}
+    results: list[dict] = []
+
+    sup = subordination.support(model)
+    grid = _verification_grid(sup)
+
+    worst = 0.0
+    for x in grid:
+        u = subordination.omega(model, x)
+        worst = max(worst, abs(subordination.phi(model, u) - x) / max(1.0, abs(x)))
+    tol = checks_cfg["inverse_pair_tolerance"]
+    results.append({"name": "inverse_pair", "status": "pass" if worst <= tol else "fail",
+                    "max_residual": worst, "tolerance": tol, "points": len(grid)})
+
+    s2c = model.sigma ** 2 * model.c
+    worst_chain = 0.0
+    worst_h = 0.0
+    for x in grid[:12]:
+        gmu = stieltjes.solve_g(model, complex(x, 1e-9)).g
+        u = subordination.omega(model, x)
+        chain = abs(1.0 / (1.0 - s2c * gmu)
+                    - (1.0 + s2c * measure.g_nu(model.nu, u)))
+        worst_chain = max(worst_chain, chain)
+        worst_h = max(worst_h, stieltjes.h_residual(model, x))
+    ok = (worst_chain <= checks_cfg["chain_tolerance"]
+          and worst_h <= checks_cfg["h_tolerance"])
+    results.append({"name": "subordination_chain",
+                    "status": "pass" if ok else "fail",
+                    "max_chain_residual": worst_chain,
+                    "max_h_residual": worst_h,
+                    "chain_tolerance": checks_cfg["chain_tolerance"],
+                    "h_tolerance": checks_cfg["h_tolerance"]})
+
+    masses = stieltjes.interval_masses(model)
+    adm = sup.admissible
+    worst_mass = max(abs(m - measure.mass_between(model.nu, adm.u[l], adm.v[l]))
+                     for l, m in enumerate(masses))
+    tol = checks_cfg["mass_tolerance"]
+    results.append({"name": "mass_equality",
+                    "status": "pass" if worst_mass <= tol else "fail",
+                    "max_mass_error": worst_mass, "tolerance": tol,
+                    "interval_masses": list(masses)})
+
+    if gap is None and len(sup.intervals) >= 2:
+        widest = max(
+            ((a_hi, b_lo) for (_, a_hi), (b_lo, _) in
+             zip(sup.intervals, sup.intervals[1:])),
+            key=lambda g: g[1] - g[0])
+        width = widest[1] - widest[0]
+        gap = (widest[0] + 0.3 * width, widest[1] - 0.3 * width)
+    if gap is not None:
+        omega_gap(model, gap)  # reject a bad gap before sampling
+    samples = run_trials(sim)
+
+    if gap is not None:
+        rep = verify_separation(sim, gap, samples)
+        ok = rep.pass_fraction >= checks_cfg["separation_min_pass"]
+        results.append({"name": "separation", "status": "pass" if ok else "fail",
+                        "pass_fraction": rep.pass_fraction, "i_N": rep.i_N,
+                        "gap": list(gap),
+                        "min_pass": checks_cfg["separation_min_pass"]})
+    else:
+        results.append({"name": "separation", "status": "skipped",
+                        "reason": "single support interval and no configured gap"})
+
+    if sim.spikes.thetas:
+        outcomes = spikes_mod.classify(model, sim.spikes)
+        ranks = spikes_mod.spike_ranks(model, sim.spikes, sim.n)
+        tol = checks_cfg["outlier_tolerance"]
+        spike_rows = []
+        ok = True
+        for outcome, rank in zip(outcomes, ranks):
+            observed = float(np.median([s.eigenvalues[rank - 1] for s in samples]))
+            err = abs(observed - outcome.limit)
+            ok = ok and err <= tol
+            spike_rows.append({"theta": outcome.theta, "case": outcome.case_tag,
+                               "limit": outcome.limit, "rank": rank,
+                               "median_observed": observed, "error": err})
+        results.append({"name": "outlier", "status": "pass" if ok else "fail",
+                        "tolerance": tol, "spikes": spike_rows})
+    else:
+        results.append({"name": "outlier", "status": "skipped",
+                        "reason": "no spikes configured"})
+
+    ks = empirical_cdf_distance(model, samples)
+    tol = checks_cfg["ks_threshold"]
+    results.append({"name": "ks", "status": "pass" if ks <= tol else "fail",
+                    "distance": ks, "threshold": tol,
+                    "pooled": sum(len(s.eigenvalues) for s in samples)})
+
+    return {
+        "model": model.to_dict(),
+        "spikes": sim.spikes.to_dict(),
+        "sim": {"n": sim.n, "N": sim.N, "entry_dist": sim.entry_dist,
+                "seed": sim.seed, "trials": sim.trials},
+        "checks": results,
+        "all_pass": all(r["status"] != "fail" for r in results),
+    }

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import measure, stieltjes, subordination
 from .errors import AmbiguousSpike, DomainError
 from .subordination import ModelParams
@@ -63,23 +65,16 @@ class SpikeSpec:
 
 @dataclass(frozen=True)
 class SpikeOutcome:
-    """Predicted limit for one spike packet.
-
-    ``rank_start`` is resolved against a concrete matrix size by
-    ``predicted_spectrum_summary`` and is None straight out of ``classify``.
-    ``alpha`` is set for QUANTILE outcomes only.
-    """
+    """Predicted limit for one spike packet; ``alpha`` is set for QUANTILE
+    outcomes only."""
 
     theta: float
     case_tag: str
     limit: float
-    rank_start: int | None = None
     alpha: float | None = None
 
     def to_dict(self) -> dict:
         out = {"theta": self.theta, "case": self.case_tag, "limit": self.limit}
-        if self.rank_start is not None:
-            out["rank_start"] = self.rank_start
         if self.alpha is not None:
             out["alpha"] = self.alpha
         return out
@@ -135,14 +130,33 @@ def classify(p: ModelParams, s: SpikeSpec) -> list[SpikeOutcome]:
     return out
 
 
-def _count_above(p: ModelParams, s: SpikeSpec, n: int, theta: float) -> int:
-    """Eigenvalues of the deterministic perturbation exceeding theta."""
-    above = sum(k for t, k in zip(s.thetas, s.multiplicities) if t > theta)
+def signal_eigenvalues(p: ModelParams, s: SpikeSpec, n: int) -> np.ndarray:
+    """Exact eigenvalues of the n x n signal part A A*, in the diagonal order of A.
+
+    Each theta_j repeated by its multiplicity comes first, then the
+    nu-quantiles at mid-levels (i - 1/2)/(n - r), i = 1..n-r, which keep the
+    empirical signal law converging to nu with vanishing distance to its
+    support.  Ranks are counted against these values, never against squared
+    diagonal entries of A: sqrt(theta)**2 exceeds theta for some theta.
+    """
+    if s.r > n:
+        raise DomainError(f"matrix size {n} cannot hold {s.r} spiked directions")
     bulk = n - s.r
-    for i in range(1, bulk + 1):
-        if measure.quantile(p.nu, (i - 0.5) / bulk) > theta:
-            above += 1
-    return above
+    values = [t for t, k in zip(s.thetas, s.multiplicities) for _ in range(k)]
+    values.extend(measure.quantile(p.nu, (i - 0.5) / bulk)
+                  for i in range(1, bulk + 1))
+    return np.asarray(values, dtype=float)
+
+
+def spike_ranks(p: ModelParams, s: SpikeSpec, n: int | None = None) -> list[int]:
+    """1-based rank of the first eigenvalue of each spike packet.
+
+    The packet of theta starts one past the signal eigenvalues strictly above
+    theta.  Without a matrix size n, spikes are ranked among the spiked
+    directions alone.
+    """
+    signal = signal_eigenvalues(p, s, s.r if n is None else n)
+    return [1 + int(np.sum(signal > theta)) for theta in s.thetas]
 
 
 def predicted_spectrum_summary(p: ModelParams, s: SpikeSpec,
@@ -154,14 +168,12 @@ def predicted_spectrum_summary(p: ModelParams, s: SpikeSpec,
     bulk right edge and an open-ended entry at rank n for the bulk left
     limit.  Rank ranges are 1-based; None marks an open end.
     """
-    if n < s.r:
-        raise DomainError(f"matrix size {n} cannot hold {s.r} spiked directions")
+    ranks = spike_ranks(p, s, n)
     sup = subordination.support(p)
     outcomes = classify(p, s)
     entries: list[tuple[tuple[int, int | None], float]] = []
     top_outliers = 0
-    for outcome, k in zip(outcomes, s.multiplicities):
-        start = 1 + _count_above(p, s, n, outcome.theta)
+    for outcome, k, start in zip(outcomes, s.multiplicities, ranks):
         entries.append(((start, start + k - 1), outcome.limit))
         if outcome.case_tag == OUTLIER and outcome.theta > sup.admissible.v[-1]:
             top_outliers += k

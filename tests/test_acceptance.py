@@ -133,13 +133,13 @@ def test_criterion_7_exact_separation():
         width = gap_hi - gap_lo
         gap = (gap_lo + 0.3 * width, gap_hi - 0.3 * width)
         cfg = SimConfig(n=500, N=1000, model=MODEL_SPLIT, seed=7, trials=40)
-        rep = simulate.verify_separation(cfg, gap)
+        rep = simulate.verify_separation(cfg, gap, simulate.run_trials(cfg))
         assert rep.i_N == 250
         assert all(rep.a_count_ok) and all(rep.m_count_ok)
         assert rep.pass_fraction >= 0.95
         cfg_r = SimConfig(n=500, N=1000, model=MODEL_SPLIT, seed=7, trials=40,
                           entry_dist="rademacher-complex")
-        rep_r = simulate.verify_separation(cfg_r, gap)
+        rep_r = simulate.verify_separation(cfg_r, gap, simulate.run_trials(cfg_r))
         assert rep_r.i_N == 250
         assert abs(rep_r.pass_fraction - rep.pass_fraction) <= 0.05
 
@@ -164,9 +164,11 @@ def test_criterion_8_outlier_convergence():
 def test_criterion_9_bulk_law():
     with criterion(9, "Kolmogorov-Smirnov distance to the limit CDF", 600.0):
         cfg1 = SimConfig(n=2000, N=2000, model=MODEL_D1_C1, seed=7, trials=5)
-        assert simulate.empirical_cdf_distance(cfg1) <= 0.03
+        assert simulate.empirical_cdf_distance(
+            cfg1.model, simulate.run_trials(cfg1)) <= 0.03
         cfg2 = SimConfig(n=1000, N=2000, model=MODEL_D2_HALF, seed=7, trials=5)
-        assert simulate.empirical_cdf_distance(cfg2) <= 0.05
+        assert simulate.empirical_cdf_distance(
+            cfg2.model, simulate.run_trials(cfg2)) <= 0.05
 
 
 def test_criterion_10_determinism(tmp_path):

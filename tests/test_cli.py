@@ -4,14 +4,30 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from ipn import cli
+from ipn import cli, simulate, spikes
 from ipn.errors import ConvergenceError
+from ipn.spikes import SpikeSpec
+
+from conftest import MODEL_D1_C1
 
 
 def run_cli(args):
     return cli.run(args)
+
+
+def count_samples(monkeypatch) -> list[int]:
+    """Record the trial index of every sample_eigenvalues call."""
+    calls: list[int] = []
+    real = simulate.sample_eigenvalues
+
+    def counting(cfg, trial, *args):
+        calls.append(trial)
+        return real(cfg, trial, *args)
+    monkeypatch.setattr(simulate, "sample_eigenvalues", counting)
+    return calls
 
 
 def read_json(path):
@@ -83,11 +99,29 @@ def test_missing_model_field_exits_one():
     assert run_cli(["support", "--sigma", "1", "--c", "1"]) == 1
 
 
+def test_atom_without_weight_exits_one(tmp_path, capsys):
+    cfg = small_config(tmp_path, model={"sigma": 1.0, "c": 1.0,
+                                        "nu": {"atoms": [{"t": 1.0}]}})
+    assert run_cli(["support", "--config", cfg]) == 1
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_convergence_error_exits_two(monkeypatch):
     def boom(model):
         raise ConvergenceError("forced")
     monkeypatch.setattr(cli.subordination, "support", boom)
     assert run_cli(["support", *SMALL_MODEL]) == 2
+
+
+def test_failed_decomposition_exits_two(tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+    monkeypatch.setattr(np.linalg, "svd", boom)
+    code = run_cli(["simulate", "--config", small_config(tmp_path),
+                    "--n", "8", "--N", "8", "--output", str(tmp_path / "t.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "convergence error" in err and "Traceback" not in err
 
 
 def test_density_csv_output(tmp_path):
@@ -138,6 +172,26 @@ def test_separation_command(tmp_path):
     assert rep["pass_fraction"] >= 0.95
 
 
+def test_gap_inside_support_exits_one_before_sampling(tmp_path, monkeypatch):
+    calls = count_samples(monkeypatch)
+    cfg = small_config(tmp_path)
+    for command in ("separation", "verify-all"):
+        assert run_cli([command, "--config", cfg, "--gap", "1.0", "2.0",
+                        "--output", str(tmp_path / "out.json")]) == 1
+    assert calls == []
+
+
+def test_verify_all_samples_each_trial_once(tmp_path, monkeypatch):
+    calls = count_samples(monkeypatch)
+    out = tmp_path / "verify.json"
+    run_cli(["verify-all", "--config", small_config(tmp_path),
+             "--gap", "6.76", "6.8", "--output", str(out), "--no-timestamp"])
+    sep = next(c for c in read_json(str(out))["checks"]
+               if c["name"] == "separation")
+    assert sep["status"] != "skipped"
+    assert calls == [0, 1, 2]  # separation, outlier and KS share the samples
+
+
 def test_verify_all_small_passes(tmp_path):
     cfg = small_config(tmp_path)
     out = tmp_path / "verify.json"
@@ -172,6 +226,33 @@ def test_verify_all_reports_are_reproducible(tmp_path):
     assert run_cli(["verify-all", "--config", cfg, "--output", str(out2),
                     "--no-timestamp"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_spike_ranks_agree_across_commands(tmp_path):
+    # sqrt(2)**2 > 2, so ranks counted from squared diagonal entries of A
+    # would put the theta = 2 packet at rank 3
+    spec = SpikeSpec((4.0, 2.0), (1, 1))
+    signal = spikes.signal_eigenvalues(MODEL_D1_C1, spec, 200)
+    expected = [1 + int(np.sum(signal > t)) for t in spec.thetas]
+    assert expected == [1, 2]
+
+    cfg = small_config(tmp_path, spikes=spec.to_dict())
+    out = tmp_path / "spikes.json"
+    assert run_cli(["spikes", "--config", cfg, "--n", "200",
+                    "--output", str(out), "--no-timestamp"]) == 0
+    from_spikes = [r["ranks"][0] for r in read_json(str(out))["result"]]
+
+    out = tmp_path / "verify.json"
+    run_cli(["verify-all", "--config", cfg, "--n", "200", "--N", "200",
+             "--output", str(out), "--no-timestamp"])
+    outlier = next(c for c in read_json(str(out))["checks"]
+                   if c["name"] == "outlier")
+    from_verify = [row["rank"] for row in outlier["spikes"]]
+
+    entries = spikes.predicted_spectrum_summary(MODEL_D1_C1, spec, 200)
+    from_summary = [rng[0] for rng, _ in entries if rng[1] is not None]
+
+    assert from_spikes == from_verify == from_summary == expected
 
 
 def test_timestamp_present_by_default(tmp_path):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ipn import simulate, subordination
+from ipn import simulate, spikes, subordination
 from ipn.errors import DomainError, PreconditionError
 from ipn.measure import MeasureSpec
 from ipn.simulate import SimConfig
@@ -47,7 +47,8 @@ def test_sigma_zero_returns_signal_spectrum_exactly():
     p = ModelParams(sigma=0.0, c=0.5, nu=TWO_ATOMS)
     cfg = SimConfig(n=6, N=12, model=p, seed=1)
     s = simulate.sample_eigenvalues(cfg, 0)
-    assert np.array_equal(s.eigenvalues, s.a_eigenvalues)
+    signal = spikes.signal_eigenvalues(p, SpikeSpec(), 6)
+    assert np.array_equal(s.eigenvalues, np.sort(signal)[::-1])
 
 
 def test_streams_are_deterministic_and_trial_dependent():
@@ -85,7 +86,7 @@ def test_separation_two_interval_model():
     width = gap_hi - gap_lo
     gap = (gap_lo + 0.3 * width, gap_hi - 0.3 * width)
     cfg = SimConfig(n=300, N=600, model=MODEL_SPLIT, seed=42, trials=8)
-    rep = simulate.verify_separation(cfg, gap)
+    rep = simulate.verify_separation(cfg, gap, simulate.run_trials(cfg))
     assert rep.i_N == 150
     assert rep.pass_fraction >= 0.95
     assert gap_lo < rep.omega_gap[0] < rep.omega_gap[1] < gap_hi or True
@@ -100,17 +101,17 @@ def test_separation_rank_sandwich():
     width = gap_hi - gap_lo
     a, b = gap_lo + 0.3 * width, gap_hi - 0.3 * width
     cfg = SimConfig(n=200, N=400, model=MODEL_SPLIT, seed=9, trials=4)
-    rep = simulate.verify_separation(cfg, (a, b))
-    for t in range(cfg.trials):
+    samples = simulate.run_trials(cfg)
+    rep = simulate.verify_separation(cfg, (a, b), samples)
+    for t, s in enumerate(samples):
         if rep.a_count_ok[t] and rep.m_count_ok[t]:
-            s = simulate.sample_eigenvalues(cfg, t)
             assert int(np.sum(s.eigenvalues > b)) == rep.i_N
 
 
 def test_separation_sigma_zero_trivial():
     p = ModelParams(sigma=0.0, c=0.5, nu=TWO_ATOMS)
     cfg = SimConfig(n=20, N=40, model=p, seed=0, trials=2)
-    rep = simulate.verify_separation(cfg, (2.0, 4.0))
+    rep = simulate.verify_separation(cfg, (2.0, 4.0), simulate.run_trials(cfg))
     assert rep.pass_fraction == 1.0
     assert rep.i_N == 10
     assert rep.omega_gap == (2.0, 4.0)
@@ -120,7 +121,7 @@ def test_separation_gap_inside_support_rejected():
     cfg = SimConfig(n=50, N=100, model=MODEL_SPLIT, seed=0)
     inside = subordination.support(MODEL_SPLIT).intervals[0][0] + 0.1
     with pytest.raises(PreconditionError):
-        simulate.verify_separation(cfg, (inside, inside + 0.5))
+        simulate.verify_separation(cfg, (inside, inside + 0.5), [])
 
 
 def test_separation_requires_positive_omega_when_c_below_one():
@@ -132,20 +133,20 @@ def test_separation_requires_positive_omega_when_c_below_one():
     if subordination.omega(p, a) < 0.0:
         cfg = SimConfig(n=50, N=100, model=p, seed=0)
         with pytest.raises(PreconditionError):
-            simulate.verify_separation(cfg, (a, lo * 0.5))
+            simulate.verify_separation(cfg, (a, lo * 0.5), [])
 
 
 def test_inclusion_large_epsilon_always_passes():
     cfg = SimConfig(n=60, N=60, model=MODEL_D1_C1, seed=2, trials=3,
                     spikes=SpikeSpec((4.0,), (1,)))
-    rep = simulate.verify_inclusion(cfg, 10.0)
+    rep = simulate.verify_inclusion(cfg, 10.0, simulate.run_trials(cfg))
     assert rep.all_pass
     assert rep.pass_fraction == 1.0
 
 
 def test_inclusion_tiny_epsilon_reports_not_raises():
     cfg = SimConfig(n=100, N=200, model=MODEL_SPLIT, seed=7, trials=10)
-    rep = simulate.verify_inclusion(cfg, 1e-6)
+    rep = simulate.verify_inclusion(cfg, 1e-6, simulate.run_trials(cfg))
     assert not rep.all_pass  # finite-size fluctuations must be reported
     assert any(len(o) > 0 for o in rep.offenders)
     assert 0.0 < rep.pass_fraction < 1.0
@@ -154,7 +155,7 @@ def test_inclusion_tiny_epsilon_reports_not_raises():
 def test_inclusion_moderate_epsilon_with_spike():
     cfg = SimConfig(n=400, N=400, model=MODEL_D1_C1, seed=21, trials=3,
                     spikes=SpikeSpec((4.0,), (1,)))
-    rep = simulate.verify_inclusion(cfg, 0.45)
+    rep = simulate.verify_inclusion(cfg, 0.45, simulate.run_trials(cfg))
     assert rep.pass_fraction >= 2.0 / 3.0
 
 
@@ -179,7 +180,8 @@ def test_separation_universality_across_entry_distributions():
     for dist in simulate.ENTRY_DISTS:
         cfg = SimConfig(n=500, N=1000, model=MODEL_SPLIT, seed=13, trials=10,
                         entry_dist=dist)
-        fractions.append(simulate.verify_separation(cfg, gap).pass_fraction)
+        rep = simulate.verify_separation(cfg, gap, simulate.run_trials(cfg))
+        fractions.append(rep.pass_fraction)
     assert max(fractions) - min(fractions) <= 0.05
 
 
@@ -192,23 +194,24 @@ def test_extreme_eigenvalue_windows_at_production_size():
 
     cfg_spike = SimConfig(n=1000, N=1000, model=MODEL_D1_C1, seed=7, trials=20,
                           spikes=SpikeSpec((4.0,), (1,)))
-    lam1s = np.array([s.eigenvalues[0] for s in simulate.run_trials(cfg_spike)])
+    samples = simulate.run_trials(cfg_spike)
+    lam1s = np.array([s.eigenvalues[0] for s in samples])
     assert int(np.sum((lam1s >= 6.91) & (lam1s <= 7.31))) >= 18
 
-    rep = simulate.verify_inclusion(cfg_spike, 0.3)
+    rep = simulate.verify_inclusion(cfg_spike, 0.3, samples)
     assert sum(rep.trials_passed) >= 18
 
 
 def test_empirical_cdf_distance_small():
     cfg = SimConfig(n=400, N=400, model=MODEL_D1_C1, seed=17, trials=3)
-    assert simulate.empirical_cdf_distance(cfg) <= 0.05
+    assert simulate.empirical_cdf_distance(cfg.model, simulate.run_trials(cfg)) <= 0.05
 
 
 def test_empirical_cdf_distance_sigma_zero_nan():
     p = ModelParams(sigma=0.0, c=1.0, nu=DELTA1)
     cfg = SimConfig(n=10, N=10, model=p, seed=0)
     with pytest.warns(UserWarning):
-        out = simulate.empirical_cdf_distance(cfg)
+        out = simulate.empirical_cdf_distance(p, simulate.run_trials(cfg))
     assert math.isnan(out)
 
 
@@ -219,12 +222,3 @@ def test_svd_failure_carries_trial_index(monkeypatch):
     cfg = SimConfig(n=8, N=8, model=MODEL_D1_C1, seed=0)
     with pytest.raises(np.linalg.LinAlgError, match="trial 0"):
         simulate.sample_eigenvalues(cfg, 0)
-
-
-def test_parallel_trials_match_serial(monkeypatch):
-    cfg = SimConfig(n=40, N=40, model=MODEL_D1_C1, seed=11, trials=4)
-    serial = simulate.run_trials(cfg)
-    monkeypatch.setenv("IPN_THREADS", "4")
-    parallel = simulate.run_trials(cfg)
-    for a, b in zip(serial, parallel):
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
