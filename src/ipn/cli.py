@@ -115,9 +115,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         timestamp=not getattr(args, "no_timestamp", False),
         header=getattr(args, "header", False),
     )
+    points = getattr(args, "points", RunConfig.density_points)
+    if points < 1:
+        raise ValueError(f"--points must be at least 1, got {points}")
     return RunConfig(command=args.command, model=model, output=output,
                      spikes=spike_spec, sim=sim, gap=gap, checks=checks,
-                     density_points=getattr(args, "points", None) or 400,
+                     density_points=points,
                      spikes_n=getattr(args, "n", None),
                      full_eigenvalues=getattr(args, "full", False))
 
@@ -265,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("density", help="density grid of the limit law")
     _add_common(sp)
-    sp.add_argument("--points", type=int, default=400)
+    sp.add_argument("--points", type=int, default=RunConfig.density_points)
 
     sp = sub.add_parser("spikes", help="classify spikes and predict limits")
     _add_common(sp)

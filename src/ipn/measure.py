@@ -6,6 +6,10 @@ package needs: the Stieltjes transform and its derivative have closed forms,
 the support is a finite union of intervals, and CDF/quantile are piecewise
 linear.  The scaled Marchenko-Pastur density is provided as the closed-form
 special case used as an oracle in tests.
+
+``g_nu`` and ``g_nu_prime`` take a complex scalar, a float or a real numpy
+array (elementwise) through one body; only the log follows the input type
+(``cmath.log``, ``math.log`` or ``np.log``).
 """
 
 from __future__ import annotations
@@ -112,8 +116,11 @@ class SupportComponents:
     def max(self) -> float:
         return self.intervals[-1][1]
 
-    def distance(self, x: float) -> float:
-        """Euclidean distance from x to the support."""
+    def distance(self, x):
+        """Euclidean distance from x to the support; elementwise for an array."""
+        if isinstance(x, np.ndarray):
+            return np.min([np.maximum(np.maximum(lo - x, x - hi), 0.0)
+                           for lo, hi in self.intervals], axis=0)
         return min(max(lo - x, x - hi, 0.0) for lo, hi in self.intervals)
 
     def contains(self, x: float, tol: float = 0.0) -> bool:
@@ -145,75 +152,62 @@ def support_of(m: MeasureSpec) -> SupportComponents:
     return SupportComponents(intervals=tuple((lo, hi) for lo, hi in merged))
 
 
-def _require_off_support(m: MeasureSpec, x: float) -> None:
-    if support_of(m).distance(x) <= ATOL:
-        raise DomainError(f"x={x!r} lies on the support of the measure")
+def _real_argument(m: MeasureSpec, z) -> tuple:
+    """A real z as a float or a float array, with the log of the same kind.
+
+    Raises DomainError if z, or any element of an array z, lies on supp(m),
+    and for a complex array, which the real path would truncate.
+    """
+    if isinstance(z, np.ndarray):
+        if np.iscomplexobj(z):
+            raise DomainError("complex arrays are not supported")
+        x, log = np.asarray(z, dtype=float), np.log
+        on = support_of(m).distance(x) <= ATOL
+        if on.any():
+            raise DomainError(f"x={x[on]!r} lies on the support of the measure")
+    else:
+        x, log = float(z.real) if isinstance(z, complex) else float(z), math.log
+        if support_of(m).distance(x) <= ATOL:
+            raise DomainError(f"x={x!r} lies on the support of the measure")
+    return x, log
 
 
-def g_nu(m: MeasureSpec, z: complex | float) -> complex | float:
+def g_nu(m: MeasureSpec, z):
     """Stieltjes transform integral of 1/(z - x) against ``m``.
 
-    Accepts complex z off the real axis, or real z at positive distance from
-    the support (raises DomainError otherwise).  Real inputs give real
-    outputs.  Segments use the principal branch of log((z-lo)/(z-hi)), which
-    is analytic off the segment.
+    Accepts complex z off the real axis, or real z (a float, or elementwise a
+    real numpy array) at positive distance from the support; DomainError is
+    raised if any real point lies on it.  Real inputs give real outputs of
+    the same shape.  Segments use the principal branch of
+    log((z-lo)/(z-hi)), which is analytic off the segment.
     """
     if isinstance(z, complex) and z.imag != 0.0:
-        total = 0.0 + 0.0j
-        for w, t in m.atoms:
-            total += w / (z - t)
-        for w, lo, hi in m.segments:
-            total += (w / (hi - lo)) * cmath.log((z - lo) / (z - hi))
-        return total
-    x = float(z.real) if isinstance(z, complex) else float(z)
-    _require_off_support(m, x)
-    total = 0.0
+        total, log = 0j, cmath.log
+    else:
+        z, log = _real_argument(m, z)
+        total = 0.0
     for w, t in m.atoms:
-        total += w / (x - t)
+        total += w / (z - t)
     for w, lo, hi in m.segments:
-        total += (w / (hi - lo)) * math.log((x - lo) / (x - hi))
+        total += (w / (hi - lo)) * log((z - lo) / (z - hi))
     return total
 
 
-def g_nu_prime(m: MeasureSpec, z: complex | float) -> complex | float:
+def g_nu_prime(m: MeasureSpec, z):
     """Derivative of the Stieltjes transform: -integral of 1/(z - x)^2.
 
-    Real inputs in a gap give strictly negative real outputs.
+    Takes the same inputs as ``g_nu``.  Real inputs in a gap give strictly
+    negative real outputs.
     """
     if isinstance(z, complex) and z.imag != 0.0:
-        total = 0.0 + 0.0j
-        for w, t in m.atoms:
-            total -= w / (z - t) ** 2
-        for w, lo, hi in m.segments:
-            total -= (w / (hi - lo)) * (1.0 / (z - hi) - 1.0 / (z - lo))
-        return total
-    x = float(z.real) if isinstance(z, complex) else float(z)
-    _require_off_support(m, x)
-    total = 0.0
+        total = 0j
+    else:
+        z, _ = _real_argument(m, z)
+        total = 0.0
     for w, t in m.atoms:
-        total -= w / (x - t) ** 2
+        total -= w / (z - t) ** 2
     for w, lo, hi in m.segments:
-        total -= (w / (hi - lo)) * (1.0 / (x - hi) - 1.0 / (x - lo))
-    return total
-
-
-def _g_values(m: MeasureSpec, xs: np.ndarray) -> np.ndarray:
-    """Vectorized g over real points known to lie off the support (no checks)."""
-    total = np.zeros_like(xs, dtype=float)
-    for w, t in m.atoms:
-        total += w / (xs - t)
-    for w, lo, hi in m.segments:
-        total += (w / (hi - lo)) * np.log((xs - lo) / (xs - hi))
-    return total
-
-
-def _g_prime_values(m: MeasureSpec, xs: np.ndarray) -> np.ndarray:
-    """Vectorized g' over real points known to lie off the support (no checks)."""
-    total = np.zeros_like(xs, dtype=float)
-    for w, t in m.atoms:
-        total -= w / (xs - t) ** 2
-    for w, lo, hi in m.segments:
-        total -= (w / (hi - lo)) * (1.0 / (xs - hi) - 1.0 / (xs - lo))
+        total -= (w / (hi - lo)) * (1.0 / (z - hi) - 1.0 / (z - lo))
     return total
 
 

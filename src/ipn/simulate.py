@@ -243,26 +243,24 @@ def verify_inclusion(cfg: SimConfig, epsilon: float,
     """
     model = cfg.model
     if model.sigma == 0.0:
-        intervals = list(measure.support_of(model.nu).intervals)
+        comps = measure.support_of(model.nu)
         points = list(cfg.spikes.thetas)
     else:
         sup = subordination.support(model)
-        intervals = list(sup.intervals)
+        comps = measure.SupportComponents(sup.intervals)
         outcomes = spikes_mod.classify(model, cfg.spikes)
         points = [o.limit for o in outcomes if o.case_tag == spikes_mod.OUTLIER]
         if model.c == 1.0 and sup.zero_in_support:
             points.append(0.0)
 
-    def dist(x: float) -> float:
-        d = min(max(lo - x, x - hi, 0.0) for lo, hi in intervals)
-        for pt in points:
-            d = min(d, abs(x - pt))
-        return d
-
     offenders = []
     passed = []
     for sample in samples:
-        bad = tuple(float(x) for x in sample.eigenvalues if dist(float(x)) > epsilon)
+        ev = sample.eigenvalues
+        d = comps.distance(ev)
+        for pt in points:
+            d = np.minimum(d, np.abs(ev - pt))
+        bad = tuple(float(x) for x in ev[d > epsilon])
         offenders.append(bad)
         passed.append(not bad)
     return InclusionReport(epsilon=float(epsilon), offenders=tuple(offenders),

@@ -228,6 +228,7 @@ class _IntervalCdf:
     lo: float
     hi: float
     panels: tuple[_Panel, ...]
+    starts: tuple[float, ...]  # t0 of each panel, for bisection
     cum: tuple[float, ...]  # raw mass up to each panel start
     raw_mass: float
     nu_mass: float
@@ -276,7 +277,8 @@ def _interval_cdf(p: ModelParams, lo: float, hi: float,
     for panel in panels:
         cum.append(acc)
         acc += panel.mass
-    return _IntervalCdf(lo=lo, hi=hi, panels=tuple(panels), cum=tuple(cum),
+    return _IntervalCdf(lo=lo, hi=hi, panels=tuple(panels),
+                        starts=tuple(pnl.t0 for pnl in panels), cum=tuple(cum),
                         raw_mass=acc, nu_mass=nu_mass)
 
 
@@ -320,7 +322,7 @@ def _raw_partial(ic: _IntervalCdf, x: float) -> float:
     half = 0.5 * (ic.hi - ic.lo)
     arg = min(max(1.0 - (x - ic.lo) / half, -1.0), 1.0)
     t = math.acos(arg)
-    idx = bisect_right([pnl.t0 for pnl in ic.panels], t) - 1
+    idx = bisect_right(ic.starts, t) - 1
     idx = min(max(idx, 0), len(ic.panels) - 1)
     return ic.cum[idx] + _quad_partial(ic.panels[idx], t)
 

@@ -1,7 +1,7 @@
 """Forward/inverse spectral maps for the information-plus-noise limit law.
 
-Everything here is driven by two scalar functions of the base measure nu and
-the parameters (sigma, c):
+Everything here is driven by two functions of the base measure nu and the
+parameters (sigma, c):
 
 * ``phi``    maps base-measure coordinates to limit-spectrum coordinates,
 * ``omega``  is its inverse on the admissible set.
@@ -132,7 +132,7 @@ class SupportResult:
     admissible: AdmissibleSet
 
     def distance(self, x: float) -> float:
-        return min(max(lo - x, x - hi, 0.0) for lo, hi in self.intervals)
+        return measure.SupportComponents(self.intervals).distance(x)
 
     def to_dict(self) -> dict:
         return {
@@ -143,32 +143,26 @@ class SupportResult:
         }
 
 
-def phi(p: ModelParams, x: float) -> float:
+def phi(p: ModelParams, x):
     """Forward spectral map x*(1 + c*s^2*g(x))^2 + s^2*(1-c)*(1 + c*s^2*g(x)).
 
-    Defined for real x away from supp(nu).  At sigma = 0 this reduces to the
-    identity, which is the degenerate limit exposed for testing.
+    Takes what ``measure.g_nu`` takes: complex x off the real axis, or real
+    x away from supp(nu), a float or elementwise a real numpy array.  At
+    sigma = 0 this reduces to the identity, which is the degenerate limit
+    exposed for testing.
     """
-    g = measure.g_nu(p.nu, float(x))
+    g = measure.g_nu(p.nu, x)
     a = 1.0 + p.c * p.sigma ** 2 * g
     return x * a * a + p.sigma ** 2 * (1.0 - p.c) * a
 
 
-def phi_prime(p: ModelParams, x: float) -> float:
-    """Derivative of ``phi`` at real x away from supp(nu)."""
+def phi_prime(p: ModelParams, x):
+    """Derivative of ``phi``; takes the same inputs as ``phi``."""
     s2c = p.c * p.sigma ** 2
-    g = measure.g_nu(p.nu, float(x))
-    gp = measure.g_nu_prime(p.nu, float(x))
+    g = measure.g_nu(p.nu, x)
+    gp = measure.g_nu_prime(p.nu, x)
     a = 1.0 + s2c * g
     return a * a + 2.0 * x * a * s2c * gp + p.sigma ** 2 * (1.0 - p.c) * s2c * gp
-
-
-def _phi_prime_values(p: ModelParams, xs: np.ndarray) -> np.ndarray:
-    s2c = p.c * p.sigma ** 2
-    g = measure._g_values(p.nu, xs)
-    gp = measure._g_prime_values(p.nu, xs)
-    a = 1.0 + s2c * g
-    return a * a + 2.0 * xs * a * s2c * gp + p.sigma ** 2 * (1.0 - p.c) * s2c * gp
 
 
 def _require_positive_sigma(p: ModelParams) -> None:
@@ -254,7 +248,7 @@ def _phi_prime_marks(p: ModelParams, xs: np.ndarray) -> list[float] | None:
     Returns None when a bracketed root cannot be refined (caller refines the
     grid and retries).
     """
-    vals = _phi_prime_values(p, xs)
+    vals = phi_prime(p, xs)
     signs = np.zeros(len(xs), dtype=int)
     signs[vals > PHI_PRIME_FLOOR] = 1
     signs[vals < -PHI_PRIME_FLOOR] = -1
@@ -418,7 +412,17 @@ def _gap_structure_ok(good: list[tuple[float, float]],
     return len(good) <= 1
 
 
-def _admissible_set(p: ModelParams) -> AdmissibleSet:
+@functools.lru_cache(maxsize=None)
+def admissible_set(p: ModelParams) -> AdmissibleSet:
+    """Admissible set of the model, computed once per ModelParams.
+
+    Each gap of supp(nu) is scanned on a uniform-plus-endpoint-clustered grid
+    (4096 points, doubled adaptively on unresolved sign patterns), sign
+    changes of phi' and the single crossing of g_nu with -1/(sigma^2 c) are
+    bracketed, and boundaries are refined by bracketing root isolation to
+    absolute 1e-11.  Raises ConvergenceError if a gap stays unresolved at
+    2^16 points.
+    """
     _require_positive_sigma(p)
     thr = -1.0 / (p.sigma ** 2 * p.c)
     comps = measure.support_of(p.nu)
@@ -443,17 +447,6 @@ def _admissible_set(p: ModelParams) -> AdmissibleSet:
             raise ConvergenceError(
                 "an admissible-set complement interval misses supp(nu)")
     return adm
-
-
-admissible_set = functools.lru_cache(maxsize=None)(_admissible_set)
-admissible_set.__doc__ = """Admissible set of the model, computed once per ModelParams.
-
-Each gap of supp(nu) is scanned on a uniform-plus-endpoint-clustered grid
-(4096 points, doubled adaptively on unresolved sign patterns), sign changes
-of phi' and the single crossing of g_nu with -1/(sigma^2 c) are bracketed,
-and boundaries are refined by bracketing root isolation to absolute 1e-11.
-Raises ConvergenceError if a gap stays unresolved at 2^16 points.
-"""
 
 
 def _phi_one_sided(p: ModelParams, x0: float, side: int) -> float:
@@ -507,7 +500,14 @@ def zero_in_support(p: ModelParams) -> bool:
     return measure.g_nu(p.nu, 0.0) <= -1.0 / p.sigma ** 2
 
 
-def _support(p: ModelParams) -> SupportResult:
+@functools.lru_cache(maxsize=None)
+def support(p: ModelParams) -> SupportResult:
+    """Support of the limit law, computed once per ModelParams.
+
+    Intervals are the one-sided limits of phi at the admissible-set
+    boundaries; the zero flag follows the zero-membership classification
+    (False for c < 1).
+    """
     adm = admissible_set(p)
     intervals: list[tuple[float, float]] = []
     for l in range(adm.p):
@@ -527,14 +527,6 @@ def _support(p: ModelParams) -> SupportResult:
         raise ConvergenceError("support minimum must be positive for c < 1")
     return SupportResult(intervals=tuple(intervals), zero_in_support=zero,
                          admissible=adm)
-
-
-support = functools.lru_cache(maxsize=None)(_support)
-support.__doc__ = """Support of the limit law, computed once per ModelParams.
-
-Intervals are the one-sided limits of phi at the admissible-set boundaries;
-the zero flag follows the zero-membership classification (False for c < 1).
-"""
 
 
 def omega(p: ModelParams, x: float) -> float:

@@ -145,6 +145,16 @@ def test_density_json_round_trips(tmp_path):
     assert len(report["result"]["xs"]) == len(report["result"]["fs"])
 
 
+def test_density_points_below_one_exits_one(tmp_path, capsys):
+    # 0 must be rejected, not replaced by the default grid size
+    out = tmp_path / "density.json"
+    for points in ("0", "-3"):
+        assert run_cli(["density", *SMALL_MODEL, "--points", points,
+                        "--output", str(out)]) == 1
+        assert "--points must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_emits_json_lines(tmp_path):
     cfg = small_config(tmp_path)
     out = tmp_path / "trials.jsonl"

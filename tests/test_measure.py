@@ -258,6 +258,30 @@ def test_g_prime_matches_finite_difference(m):
     assert abs(gp - fd) <= 1e-6 * max(1.0, abs(gp))
 
 
+@given(measures(), st.lists(st.floats(0.02, 0.98), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_transforms_on_arrays_match_scalars(m, fracs):
+    comps = measure.support_of(m)
+    xs = []
+    for lo, hi in comps.gaps():
+        lo = comps.min - 3.0 if math.isinf(lo) else lo
+        hi = comps.max + 3.0 if math.isinf(hi) else hi
+        xs.extend(lo + f * (hi - lo) for f in fracs)
+    xs = np.array(xs)
+    for fn in (measure.g_nu, measure.g_nu_prime):
+        # np.log and numpy's squaring may differ from math.log and float ** 2
+        # (libm pow) in the last ulp; g_nu over atoms alone uses neither
+        rel = 0.0 if fn is measure.g_nu and not m.segments else 1e-14
+        vals = fn(m, xs)
+        assert vals.shape == xs.shape
+        for x, v in zip(xs, vals):
+            assert v == pytest.approx(fn(m, float(x)), rel=rel, abs=0.0)
+        with pytest.raises(DomainError):
+            fn(m, np.append(xs, comps.intervals[-1][0]))
+        with pytest.raises(DomainError):
+            fn(m, xs + 1j)
+
+
 @given(measures(), st.floats(0.0, 1.0))
 @settings(max_examples=80, deadline=None)
 def test_cdf_quantile_consistency(m, alpha):

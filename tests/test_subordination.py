@@ -62,10 +62,14 @@ def test_phi_prime_values():
 def test_phi_prime_matches_finite_difference(p):
     sup = subordination.support(p)
     h = 1e-6
-    for x in off_support_grid(sup, per_gap=4):
-        u = subordination.omega(p, x)
+    us = [subordination.omega(p, x) for x in off_support_grid(sup, per_gap=4)]
+    for u in us:
         fd = (subordination.phi(p, u + h) - subordination.phi(p, u - h)) / (2 * h)
         assert abs(subordination.phi_prime(p, u) - fd) <= 1e-6 * max(1.0, abs(fd))
+    # the array form agrees with the scalar one up to last-ulp differences
+    # of np.log and numpy's squaring against math.log and float ** 2
+    assert subordination.phi_prime(p, np.array(us)) == pytest.approx(
+        [subordination.phi_prime(p, u) for u in us], rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
