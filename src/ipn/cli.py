@@ -115,6 +115,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         timestamp=not getattr(args, "no_timestamp", False),
         header=getattr(args, "header", False),
     )
+    formats = ("json", "csv") if args.command == "density" else ("json",)
+    if output.fmt not in formats:
+        raise ValueError(f"{args.command} writes {' or '.join(formats)}, "
+                         f"not {output.fmt!r}")
     points = getattr(args, "points", RunConfig.density_points)
     if points < 1:
         raise ValueError(f"--points must be at least 1, got {points}")
@@ -168,8 +172,7 @@ def _cmd_density(rc: RunConfig) -> int:
     lo = sup.intervals[0][0]
     hi = sup.intervals[-1][1]
     xs = np.linspace(lo, hi, rc.density_points)
-    if rc.model.c == 1.0:
-        xs = xs[np.abs(xs) >= 1e-6]
+    xs = xs[~stieltjes.near_zero(rc.model, xs)]
     grid = stieltjes.density(rc.model, [float(x) for x in xs])
     if rc.output.fmt == "csv":
         lines = []
@@ -244,10 +247,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--c", type=float, help="dimension ratio in (0, 1]")
     sp.add_argument("--nu", help='measure JSON, e.g. {"atoms":[{"w":1,"t":1}]}')
     sp.add_argument("--output", help="output path (default stdout)")
-    sp.add_argument("--format", choices=("json", "csv"))
     sp.add_argument("--no-timestamp", action="store_true",
                     help="omit the timestamp for byte-identical reruns")
-    sp.add_argument("--header", action="store_true", help="CSV column header")
 
 
 def _add_sim(sp: argparse.ArgumentParser) -> None:
@@ -269,6 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("density", help="density grid of the limit law")
     _add_common(sp)
     sp.add_argument("--points", type=int, default=RunConfig.density_points)
+    sp.add_argument("--format", choices=("json", "csv"))
+    sp.add_argument("--header", action="store_true", help="CSV column header")
 
     sp = sub.add_parser("spikes", help="classify spikes and predict limits")
     _add_common(sp)

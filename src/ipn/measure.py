@@ -15,7 +15,9 @@ array (elementwise) through one body; only the log follows the input type
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,14 +131,24 @@ class SupportComponents:
     def gaps(self) -> list[tuple[float, float]]:
         """Open intervals of the complement, including the two unbounded ones."""
         out = [(-math.inf, self.intervals[0][0])]
-        for (lo_a, hi_a), (lo_b, hi_b) in zip(self.intervals, self.intervals[1:]):
+        for (_, hi_a), (lo_b, _) in zip(self.intervals, self.intervals[1:]):
             out.append((hi_a, lo_b))
         out.append((self.intervals[-1][1], math.inf))
         return out
 
+    def gap_index(self, x: float) -> int | None:
+        """Index into ``gaps()`` of the open gap holding x; None when x lies
+        on one of the closed intervals (endpoints included)."""
+        k = bisect_right(self.intervals, x, key=lambda iv: iv[0])
+        if k and x <= self.intervals[k - 1][1]:
+            return None
+        return k
 
+
+@functools.lru_cache(maxsize=None)
 def support_of(m: MeasureSpec) -> SupportComponents:
-    """Support of ``m`` as sorted disjoint closed intervals.
+    """Support of ``m`` as sorted disjoint closed intervals, computed once
+    per measure.
 
     Atoms within ``ATOL`` of a segment endpoint merge into that segment so
     the components stay disjoint.

@@ -180,14 +180,6 @@ def run_trials(cfg: SimConfig) -> list[EigenSample]:
     return [sample_eigenvalues(cfg, t, d) for t in range(cfg.trials)]
 
 
-def _check_gap_clear(intervals, a: float, b: float) -> bool:
-    """True when [a, b] avoids every interval and no interval sits inside."""
-    for lo, hi in intervals:
-        if max(lo - b, a - hi, 0.0) == 0.0:
-            return False
-    return True
-
-
 def omega_gap(model: ModelParams, gap: tuple[float, float]) -> tuple[float, float]:
     """[omega(a), omega(b)] for a spectral gap [a, b], after checking that the
     gap is one separation applies to; call it before sampling to fail fast."""
@@ -195,13 +187,14 @@ def omega_gap(model: ModelParams, gap: tuple[float, float]) -> tuple[float, floa
     if not a < b:
         raise PreconditionError(f"gap must satisfy a < b, got {gap!r}")
     if model.sigma == 0.0:
-        comps = measure.support_of(model.nu)
-        if not _check_gap_clear(comps.intervals, a, b):
-            raise PreconditionError("gap overlaps supp(nu) in the noiseless case")
+        comps, name = measure.support_of(model.nu), "supp(nu) in the noiseless case"
+    else:
+        comps, name = subordination.support(model).components, "the computed support"
+    k = comps.gap_index(a)
+    if k is None or comps.gap_index(b) != k:
+        raise PreconditionError(f"gap overlaps {name}")
+    if model.sigma == 0.0:
         return a, b
-    sup = subordination.support(model)
-    if not _check_gap_clear(sup.intervals, a, b):
-        raise PreconditionError("gap overlaps the computed support")
     omega_a = subordination.omega(model, a)
     omega_b = subordination.omega(model, b)
     if model.c < 1.0 and omega_a <= 0.0:
@@ -247,7 +240,7 @@ def verify_inclusion(cfg: SimConfig, epsilon: float,
         points = list(cfg.spikes.thetas)
     else:
         sup = subordination.support(model)
-        comps = measure.SupportComponents(sup.intervals)
+        comps = sup.components
         outcomes = spikes_mod.classify(model, cfg.spikes)
         points = [o.limit for o in outcomes if o.case_tag == spikes_mod.OUTLIER]
         if model.c == 1.0 and sup.zero_in_support:
@@ -298,7 +291,7 @@ def _verification_grid(sup: subordination.SupportResult) -> list[float]:
     if lo0 > 0.0:
         pts.extend(lo0 * f for f in (0.25, 0.5, 0.75))
     pts.extend(lo0 - span * f for f in (0.25, 0.75))
-    for (a_lo, a_hi), (b_lo, b_hi) in zip(sup.intervals, sup.intervals[1:]):
+    for a_hi, b_lo in sup.components.gaps()[1:-1]:
         width = b_lo - a_hi
         pts.extend(a_hi + width * f for f in (0.2, 0.5, 0.8))
     hi_last = sup.intervals[-1][1]
@@ -362,10 +355,7 @@ def verify_all(sim: SimConfig, gap: tuple[float, float] | None,
                     "interval_masses": list(masses)})
 
     if gap is None and len(sup.intervals) >= 2:
-        widest = max(
-            ((a_hi, b_lo) for (_, a_hi), (b_lo, _) in
-             zip(sup.intervals, sup.intervals[1:])),
-            key=lambda g: g[1] - g[0])
+        widest = max(sup.components.gaps()[1:-1], key=lambda g: g[1] - g[0])
         width = widest[1] - widest[0]
         gap = (widest[0] + 0.3 * width, widest[1] - 0.3 * width)
     if gap is not None:

@@ -9,6 +9,7 @@ components of supp(nu) covered by the same complement interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class SpikeSpec:
         object.__setattr__(self, "multiplicities", mults)
         if len(thetas) != len(mults):
             raise DomainError("thetas and multiplicities must have equal length")
-        if any(t <= 0.0 for t in thetas):
-            raise DomainError("spikes must be positive")
+        if not all(0.0 < t < math.inf for t in thetas):
+            raise DomainError("spikes must be positive and finite")
         if any(a <= b for a, b in zip(thetas, thetas[1:])):
             raise DomainError("spikes must be strictly descending")
         if any(k < 1 for k in mults):
@@ -96,6 +97,7 @@ def classify(p: ModelParams, s: SpikeSpec) -> list[SpikeOutcome]:
     sup = subordination.support(p)
     adm = sup.admissible
     comps = measure.support_of(p.nu)
+    inside_by_l = subordination.nu_components_inside(adm, comps)
     out: list[SpikeOutcome] = []
     for theta in s.thetas:
         if comps.distance(theta) <= measure.ATOL:
@@ -104,15 +106,12 @@ def classify(p: ModelParams, s: SpikeSpec) -> list[SpikeOutcome]:
             raise AmbiguousSpike(
                 f"spike {theta!r} is within {BOUNDARY_GUARD} of an "
                 "admissible-set boundary")
-        if adm.contains(theta):
+        l = adm.locate_complement(theta)
+        if l is None:  # theta is admissible
             out.append(SpikeOutcome(theta=theta, case_tag=OUTLIER,
                                     limit=subordination.phi(p, theta)))
             continue
-        l = adm.locate_complement(theta)
-        if l is None:
-            raise DomainError(f"spike {theta!r} could not be located")
-        inside = [iv for iv in comps.intervals
-                  if adm.u[l] <= iv[0] and iv[1] <= adm.v[l]]
+        inside = inside_by_l[l]
         if theta > max(hi for _, hi in inside):
             out.append(SpikeOutcome(theta=theta, case_tag=RIGHT_EDGE,
                                     limit=sup.intervals[l][1]))

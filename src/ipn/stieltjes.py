@@ -33,6 +33,10 @@ EPS_LADDER = (1e-3, 5e-4, 2.5e-4)
 #: than rounding noise.
 NEGATIVE_DENSITY_FLOOR = -1e-6
 
+#: When c = 1, density grids must stay at least this far from zero, where
+#: the limit law may have its hard edge.
+ZERO_GUARD = 1e-6
+
 _DEFAULT_TOL = 1e-12
 _STAGE_BUDGET = 20_000
 _FINAL_BUDGET = 100_000
@@ -172,14 +176,20 @@ class _WarmState:
         return -_neville_at_zero(EPS_LADDER, ys) / math.pi
 
 
+def near_zero(p: ModelParams, x):
+    """Whether x is inside the neighbourhood of zero that density grids must
+    avoid (only when c = 1); elementwise for an array."""
+    return (p.c == 1.0) & (np.abs(x) < ZERO_GUARD)
+
+
 def density(p: ModelParams, xs) -> DensityGrid:
     """Density of the limit law on an ordered grid by boundary extrapolation.
 
     Im g is evaluated on the epsilon ladder and extrapolated to the real
     axis.  Values in [-1e-6, 0) clamp to zero; anything below that marks the
     point invalid (NaN) instead of failing the whole grid.  The grid must
-    stay within a bounding box around the computed support and, when c = 1,
-    away from the 1e-6 neighborhood of zero.
+    stay within a bounding box around the computed support and outside
+    ``near_zero``.
     """
     sup = subordination.support(p)
     xs = [float(x) for x in xs]
@@ -191,9 +201,9 @@ def density(p: ModelParams, xs) -> DensityGrid:
     for x in xs:
         if not lo - pad <= x <= hi + pad:
             raise DomainError(f"grid point {x!r} outside the support bounding box")
-        if p.c == 1.0 and abs(x) < 1e-6:
-            raise DomainError("grid may not enter the 1e-6 neighborhood of zero "
-                              "when c = 1")
+        if near_zero(p, x):
+            raise DomainError(f"grid may not enter the {ZERO_GUARD} "
+                              "neighborhood of zero when c = 1")
     warm = _WarmState()
     fs = []
     for x in xs:

@@ -11,13 +11,15 @@ The admissible set is the open subset of the complement of supp(nu) where
 threshold -1/(sigma^2 c).  Its canonical form is a finite union of open
 intervals whose complement [u_1,v_1], ..., [u_p,v_p] covers supp(nu); the
 support of the limit law is the image of those complement intervals under
-the one-sided limits of ``phi``.
+``phi``.  Each boundary lies in a gap of supp(nu), so ``phi`` is analytic
+there and the support edges are phi(u_l) and phi(v_l).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +78,8 @@ class AdmissibleSet:
 
     The set itself is (-inf,u_1) U (v_1,u_2) U ... U (v_p,+inf); the closed
     intervals [u_l,v_l] of the complement each meet supp(nu) and together
-    cover it.
+    cover it.  ``complement`` holds them as ``SupportComponents``, whose
+    gaps are the components of the admissible set.
     """
 
     boundaries: tuple[float, ...]
@@ -101,23 +104,22 @@ class AdmissibleSet:
     def v(self) -> tuple[float, ...]:
         return self.boundaries[1::2]
 
+    @functools.cached_property
+    def complement(self) -> measure.SupportComponents:
+        return measure.SupportComponents(tuple(zip(self.u, self.v)))
+
     def components(self) -> list[tuple[float, float]]:
         """Open intervals of the admissible set, outermost ones unbounded."""
-        out = [(-math.inf, self.u[0])]
-        for l in range(self.p - 1):
-            out.append((self.v[l], self.u[l + 1]))
-        out.append((self.v[-1], math.inf))
-        return out
+        return self.complement.gaps()
 
     def contains(self, x: float) -> bool:
-        return any(lo < x < hi for lo, hi in self.components())
+        return self.complement.gap_index(x) is not None
 
     def locate_complement(self, x: float) -> int | None:
         """Index l (0-based) with u_l <= x <= v_l, or None."""
-        for l in range(self.p):
-            if self.u[l] <= x <= self.v[l]:
-                return l
-        return None
+        if self.contains(x):
+            return None
+        return bisect_right(self.u, x) - 1
 
     def distance_to_boundary(self, x: float) -> float:
         return min(abs(x - b) for b in self.boundaries)
@@ -131,8 +133,12 @@ class SupportResult:
     zero_in_support: bool
     admissible: AdmissibleSet
 
+    @functools.cached_property
+    def components(self) -> measure.SupportComponents:
+        return measure.SupportComponents(self.intervals)
+
     def distance(self, x: float) -> float:
-        return measure.SupportComponents(self.intervals).distance(x)
+        return self.components.distance(x)
 
     def to_dict(self) -> dict:
         return {
@@ -436,53 +442,26 @@ def admissible_set(p: ModelParams) -> AdmissibleSet:
     for (_, u_l), (v_l, _) in zip(good, good[1:]):
         boundaries.extend((u_l, v_l))
     adm = AdmissibleSet(boundaries=tuple(boundaries))
-    for lo, hi in comps.intervals:
-        if adm.locate_complement(0.5 * (lo + hi)) is None:
-            raise ConvergenceError(
-                "a component of supp(nu) escaped the admissible-set complement")
-    for l in range(adm.p):
-        mids = [0.5 * (lo + hi) for lo, hi in comps.intervals
-                if adm.u[l] <= lo and hi <= adm.v[l]]
-        if not mids:
-            raise ConvergenceError(
-                "an admissible-set complement interval misses supp(nu)")
+    inside = nu_components_inside(adm, comps)
+    if sum(map(len, inside)) != len(comps.intervals):
+        raise ConvergenceError(
+            "a component of supp(nu) escaped the admissible-set complement")
+    if not all(inside):
+        raise ConvergenceError(
+            "an admissible-set complement interval misses supp(nu)")
     return adm
 
 
-def _phi_one_sided(p: ModelParams, x0: float, side: int) -> float:
-    """Limit of phi at x0 from the left (side=-1) or right (side=+1).
-
-    Computed from a geometric h-sequence with Richardson extrapolation so
-    that boundaries arbitrarily close to supp(nu) are handled uniformly.
-    """
-    comps = measure.support_of(p.nu)
-    if side < 0:
-        below = [hi for _, hi in comps.intervals if hi < x0]
-        room = x0 - max(below) if below else math.inf
-    else:
-        above = [lo for lo, _ in comps.intervals if lo > x0]
-        room = min(above) - x0 if above else math.inf
-    h0 = min(1e-6, room / 8.0)
-    if h0 <= 0.0:
-        raise ConvergenceError(f"no room to take a one-sided limit at {x0!r}")
-    tol = 1e-9
-    table: list[list[float]] = []
-    prev = None
-    for i in range(12):
-        h = h0 * 0.5 ** i
-        row = [phi(p, x0 + side * h)]
-        for j in range(1, i + 1):
-            fac = 2.0 ** j
-            row.append((fac * row[j - 1] - table[i - 1][j - 1]) / (fac - 1.0))
-        table.append(row)
-        if i >= 2:
-            est = row[-1]
-            if prev is not None and abs(est - prev) <= tol * max(1.0, abs(est)):
-                return est
-            prev = est
-        elif i == 1:
-            prev = row[-1]
-    raise ConvergenceError(f"one-sided limit of phi at {x0!r} did not converge")
+def nu_components_inside(adm: AdmissibleSet, comps: measure.SupportComponents
+                         ) -> list[list[tuple[float, float]]]:
+    """For each complement interval [u_l, v_l], the components of supp(nu)
+    (given as ``comps``) that it contains, in order."""
+    out: list[list[tuple[float, float]]] = [[] for _ in range(adm.p)]
+    for lo, hi in comps.intervals:
+        l = adm.locate_complement(lo)
+        if l is not None and hi <= adm.v[l]:
+            out[l].append((lo, hi))
+    return out
 
 
 def zero_in_support(p: ModelParams) -> bool:
@@ -504,15 +483,14 @@ def zero_in_support(p: ModelParams) -> bool:
 def support(p: ModelParams) -> SupportResult:
     """Support of the limit law, computed once per ModelParams.
 
-    Intervals are the one-sided limits of phi at the admissible-set
-    boundaries; the zero flag follows the zero-membership classification
-    (False for c < 1).
+    Interval l is [phi(u_l), phi(v_l)] for the admissible-set boundaries
+    u_l, v_l (a lower edge within 1e-9 of zero is zero); the zero flag
+    follows the zero-membership classification (False for c < 1).
     """
     adm = admissible_set(p)
     intervals: list[tuple[float, float]] = []
-    for l in range(adm.p):
-        lo = _phi_one_sided(p, adm.u[l], side=-1)
-        hi = _phi_one_sided(p, adm.v[l], side=+1)
+    for u_l, v_l in adm.complement.intervals:
+        lo, hi = phi(p, u_l), phi(p, v_l)
         if abs(lo) <= 1e-9:
             lo = 0.0
         intervals.append((lo, hi))
@@ -539,35 +517,24 @@ def omega(p: ModelParams, x: float) -> float:
     """
     _require_positive_sigma(p)
     sup = support(p)
-    if sup.distance(x) <= 0.0:
+    k = sup.components.gap_index(x)
+    if k is None:
         raise DomainError(f"x={x!r} lies in the support of the limit law")
-    adm = sup.admissible
-    k = sum(1 for _, hi in sup.intervals if hi < x)
+    lo_b, hi_b = sup.admissible.components()[k]
     f = lambda u: phi(p, u) - x
-    if k == 0:
-        hi_b = adm.u[0]
-        step = max(1.0, abs(hi_b), p.sigma ** 2)
-        lo_b = hi_b - step
+    if math.isinf(lo_b) or math.isinf(hi_b):
+        # step away from the finite end until phi passes x
+        side = -1.0 if math.isinf(lo_b) else 1.0
+        end = hi_b if side < 0.0 else lo_b
+        step = max(1.0, abs(end), p.sigma ** 2)
         for _ in range(200):
-            if f(lo_b) < 0.0:
+            far = end + side * step
+            if side * f(far) > 0.0:
                 break
             step *= 2.0
-            lo_b = hi_b - step
         else:
-            raise ConvergenceError("could not bracket omega on the left")
-    elif k == adm.p:
-        lo_b = adm.v[-1]
-        step = max(1.0, abs(lo_b), p.sigma ** 2)
-        hi_b = lo_b + step
-        for _ in range(200):
-            if f(hi_b) > 0.0:
-                break
-            step *= 2.0
-            hi_b = lo_b + step
-        else:
-            raise ConvergenceError("could not bracket omega on the right")
-    else:
-        lo_b, hi_b = adm.v[k - 1], adm.u[k]
+            raise ConvergenceError("could not bracket omega")
+        lo_b, hi_b = (far, end) if side < 0.0 else (end, far)
     if f(lo_b) >= 0.0:
         u = lo_b
     elif f(hi_b) <= 0.0:
@@ -592,8 +559,7 @@ def k_transform(p: ModelParams, x: float, tol: float = 1e-12) -> float:
     if not p.c < 1.0:
         raise DomainError("the K transform is defined for c < 1 only")
     aux = ModelParams(sigma=p.sigma * math.sqrt(p.c), c=1.0, nu=p.nu)
-    sup = support(aux)
-    if sup.distance(x) <= 0.0:
+    if support(aux).components.gap_index(x) is None:
         raise DomainError(f"x={x!r} lies in the companion support")
     from . import stieltjes
 

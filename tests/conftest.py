@@ -24,6 +24,7 @@ MODEL_UNIFORM = ModelParams(sigma=0.5, c=1.0, nu=UNIFORM_13)
 MODEL_MIXED = ModelParams(sigma=0.4, c=0.8, nu=MIXED)
 
 FIVE_MODELS = (MODEL_D1_C1, MODEL_D2_HALF, MODEL_SPLIT, MODEL_UNIFORM, MODEL_MIXED)
+ALL_MODELS = FIVE_MODELS + (MODEL_D2_C1, MODEL_MERGED)
 
 
 @pytest.fixture(scope="session")

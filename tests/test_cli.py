@@ -136,6 +136,16 @@ def test_density_csv_output(tmp_path):
     assert out.read_text().splitlines()[0] == "x,f"
 
 
+def test_format_belongs_to_density(tmp_path, capsys):
+    assert run_cli(["support", *SMALL_MODEL, "--format", "csv"]) == 1
+    assert run_cli(["spikes", *SMALL_MODEL, "--theta", "4", "--header"]) == 1
+    cfg = small_config(tmp_path, output={"format": "csv"})
+    capsys.readouterr()
+    assert run_cli(["support", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert "validation error" in captured.err and captured.out == ""
+
+
 def test_density_json_round_trips(tmp_path):
     out = tmp_path / "density.json"
     code = run_cli(["density", *SMALL_MODEL, "--points", "16",

@@ -291,6 +291,20 @@ def test_cdf_quantile_consistency(m, alpha):
     assert measure.quantile(m, beta) >= q - 1e-12
 
 
+@given(measures(), st.lists(st.floats(-2.0, 12.0), max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_gap_index_matches_scan(m, extra):
+    comps = measure.support_of(m)
+    gaps = comps.gaps()
+    ends = [x for iv in comps.intervals for x in iv]
+    mids = [0.5 * (lo + hi) for lo, hi in gaps[1:-1]]
+    for x in ends + mids + extra + [comps.min - 1.0, comps.max + 1.0]:
+        on = any(lo <= x <= hi for lo, hi in comps.intervals)
+        want = None if on else next(k for k, (lo, hi) in enumerate(gaps)
+                                    if lo < x < hi)
+        assert comps.gap_index(x) == want, x
+
+
 @given(measures())
 @settings(max_examples=40, deadline=None)
 def test_support_components_sorted_disjoint(m):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from ipn import spikes, stieltjes, subordination
@@ -18,6 +20,9 @@ def test_spike_spec_validation():
         SpikeSpec(thetas=(2.0, 4.0), multiplicities=(1, 1))
     with pytest.raises(DomainError):
         SpikeSpec(thetas=(-1.0,), multiplicities=(1,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            SpikeSpec(thetas=(bad,), multiplicities=(1,))
     with pytest.raises(DomainError):
         SpikeSpec(thetas=(4.0,), multiplicities=(0,))
     assert SpikeSpec().r == 0

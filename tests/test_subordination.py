@@ -12,7 +12,7 @@ from ipn.errors import ConvergenceError, DomainError
 from ipn.measure import MeasureSpec
 from ipn.subordination import ModelParams
 
-from conftest import (DELTA1, DELTA2, FIVE_MODELS, MODEL_D1_C1, MODEL_D2_C1,
+from conftest import (ALL_MODELS, DELTA1, DELTA2, FIVE_MODELS, MODEL_D1_C1, MODEL_D2_C1,
                       MODEL_D2_HALF, MODEL_MIXED, MODEL_SPLIT, TWO_ATOMS,
                       off_support_grid)
 
@@ -186,12 +186,24 @@ def test_support_minimum_positive_when_c_below_one():
 
 
 def test_support_intervals_ordered_and_separated():
-    for p in FIVE_MODELS:
+    for p in ALL_MODELS:
         sup = subordination.support(p)
         for lo, hi in sup.intervals:
             assert lo < hi
         for (_, a_hi), (b_lo, _) in zip(sup.intervals, sup.intervals[1:]):
             assert a_hi < b_lo
+        # every boundary sits in a gap of supp(nu), where phi is analytic,
+        # and the support edges are phi there (a lower edge near 0 snaps to 0)
+        comps = measure.support_of(p.nu)
+        adm = sup.admissible
+        assert all(comps.distance(b) > measure.ATOL for b in adm.boundaries)
+        for (lo, hi), u, v in zip(sup.intervals, adm.u, adm.v):
+            phi_u = subordination.phi(p, u)
+            assert lo == phi_u or (lo == 0.0 and abs(phi_u) <= 1e-9)
+            assert hi == subordination.phi(p, v)
+    # the model of configs/reference_a.json: phi(x) = x^3/(x-1)^2 peaks
+    # at 27/4 at x = 3 with zero slope, so the edge is exact
+    assert subordination.support(MODEL_D1_C1).intervals[0][1] == 6.75
 
 
 def test_support_result_serialization():
