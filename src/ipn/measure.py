@@ -37,10 +37,11 @@ class MeasureSpec:
     atoms     tuple of (weight, location)
     segments  tuple of (weight, lo, hi); uniform density weight/(hi-lo)
 
-    Weights must be positive and sum to one within ``ATOL``; locations and
-    endpoints must be nonnegative; segments must have pairwise disjoint
-    interiors and atoms may not sit strictly inside a segment.  The point
-    mass at zero alone is rejected (the theory degenerates there).
+    All numbers must be finite.  Weights must be positive and sum to one
+    within ``ATOL``; locations and endpoints must be nonnegative; segments
+    must have pairwise disjoint interiors and atoms may not sit strictly
+    inside a segment.  The point mass at zero alone is rejected (the theory
+    degenerates there).
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
@@ -59,6 +60,8 @@ class MeasureSpec:
         weights = [w for w, _ in atoms] + [w for w, _, _ in segments]
         if not weights:
             raise ValueError("measure must have at least one atom or segment")
+        if not all(math.isfinite(v) for item in atoms + segments for v in item):
+            raise ValueError("weights, locations and endpoints must be finite")
         if any(w <= 0.0 for w in weights):
             raise ValueError("all weights must be positive")
         total = math.fsum(weights)

@@ -317,10 +317,9 @@ def verify_all(sim: SimConfig, gap: tuple[float, float] | None,
     sup = subordination.support(model)
     grid = _verification_grid(sup)
 
-    worst = 0.0
-    for x in grid:
-        u = subordination.omega(model, x)
-        worst = max(worst, abs(subordination.phi(model, u) - x) / max(1.0, abs(x)))
+    us = [subordination.omega(model, x) for x in grid]
+    worst = max(abs(subordination.phi(model, u) - x) / max(1.0, abs(x))
+                for x, u in zip(grid, us))
     tol = checks_cfg["inverse_pair_tolerance"]
     results.append({"name": "inverse_pair", "status": "pass" if worst <= tol else "fail",
                     "max_residual": worst, "tolerance": tol, "points": len(grid)})
@@ -328,13 +327,12 @@ def verify_all(sim: SimConfig, gap: tuple[float, float] | None,
     s2c = model.sigma ** 2 * model.c
     worst_chain = 0.0
     worst_h = 0.0
-    for x in grid[:12]:
+    for x, u in zip(grid[:12], us):
         gmu = stieltjes.solve_g(model, complex(x, 1e-9)).g
-        u = subordination.omega(model, x)
         chain = abs(1.0 / (1.0 - s2c * gmu)
                     - (1.0 + s2c * measure.g_nu(model.nu, u)))
         worst_chain = max(worst_chain, chain)
-        worst_h = max(worst_h, stieltjes.h_residual(model, x))
+        worst_h = max(worst_h, stieltjes._h_residual(model, x, u, gmu))
     ok = (worst_chain <= checks_cfg["chain_tolerance"]
           and worst_h <= checks_cfg["h_tolerance"])
     results.append({"name": "subordination_chain",

@@ -7,17 +7,20 @@ The transform g of the limit law satisfies g = F(g) where
 (the integral form of the defining self-consistent equation collapsed onto
 the closed-form transform of nu).  The solver damps the iteration and, when
 needed, continues from high up in the upper half plane where the map is
-strongly contractive.  Densities come from the boundary values of Im g,
-CDF/quantiles from adaptive quadrature of the density with per-interval
-masses cross-set by the mass-correspondence identity, and ``h_residual``
-checks the rectangular-convolution subordination identity.
+strongly contractive.  Densities come from the boundary values of Im g and
+are exactly zero off the open support.  The CDF is one table of adaptive
+Simpson panels per support interval, rescaled to the nu-mass that the
+mass-correspondence identity assigns it: ``cdf_mu`` reads the table forwards
+and ``quantile_mu`` backwards.  ``h_residual`` checks the
+rectangular-convolution subordination identity.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,15 +145,6 @@ def solve_g(p: ModelParams, z: complex, tol: float = _DEFAULT_TOL) -> GSolution:
     return GSolution(z=z, g=g, iterations=total, residual=r)
 
 
-def _warm_solve(p: ModelParams, z: complex, g0: complex | None,
-                tol: float) -> complex:
-    if g0 is not None:
-        result = _iterate(p, z, g0, tol, 5_000)
-        if result is not None and result[0].imag < 0.0:
-            return result[0]
-    return solve_g(p, z, tol=tol).g
-
-
 def _neville_at_zero(eps: tuple[float, ...], ys: list[float]) -> float:
     tab = list(ys)
     n = len(tab)
@@ -161,19 +155,23 @@ def _neville_at_zero(eps: tuple[float, ...], ys: list[float]) -> float:
     return tab[-1]
 
 
-class _WarmState:
-    """Per-epsilon warm starts for sweeping density evaluations."""
+def _ladder_density(p: ModelParams, x: float, warm: dict[float, complex]) -> float:
+    """Density at x from Im g on the epsilon ladder, extrapolated to zero.
 
-    def __init__(self) -> None:
-        self.g: dict[float, complex] = {}
-
-    def density(self, p: ModelParams, x: float, tol: float = 1e-10) -> float:
-        ys = []
-        for eps in EPS_LADDER:
-            g = _warm_solve(p, complex(x, eps), self.g.get(eps), tol)
-            self.g[eps] = g
-            ys.append(g.imag)
-        return -_neville_at_zero(EPS_LADDER, ys) / math.pi
+    ``warm`` maps each epsilon to the last solution of a sweep; each solve
+    (to 1e-10) starts there with a budget of 5000 iterations, falls back to
+    a cold ``solve_g``, and stores its solution back.
+    """
+    ys = []
+    for eps in EPS_LADDER:
+        z = complex(x, eps)
+        result = _iterate(p, z, warm[eps], 1e-10, 5_000) if eps in warm else None
+        if result is not None and result[0].imag < 0.0:
+            warm[eps] = result[0]
+        else:
+            warm[eps] = solve_g(p, z, tol=1e-10).g
+        ys.append(warm[eps].imag)
+    return -_neville_at_zero(EPS_LADDER, ys) / math.pi
 
 
 def near_zero(p: ModelParams, x):
@@ -187,9 +185,10 @@ def density(p: ModelParams, xs) -> DensityGrid:
 
     Im g is evaluated on the epsilon ladder and extrapolated to the real
     axis.  Values in [-1e-6, 0) clamp to zero; anything below that marks the
-    point invalid (NaN) instead of failing the whole grid.  The grid must
-    stay within a bounding box around the computed support and outside
-    ``near_zero``.
+    point invalid (NaN) instead of failing the whole grid.  Points not
+    strictly inside a support interval (the edges and the gaps) get exactly
+    zero without a solve.  The grid must stay within a bounding box around
+    the computed support and outside ``near_zero``.
     """
     sup = subordination.support(p)
     xs = [float(x) for x in xs]
@@ -204,52 +203,59 @@ def density(p: ModelParams, xs) -> DensityGrid:
         if near_zero(p, x):
             raise DomainError(f"grid may not enter the {ZERO_GUARD} "
                               "neighborhood of zero when c = 1")
-    warm = _WarmState()
+    warm: dict[float, complex] = {}
     fs = []
     for x in xs:
-        try:
-            f = warm.density(p, x)
-        except ConvergenceError:
-            fs.append(math.nan)
+        if not any(a < x < b for a, b in sup.intervals):
+            fs.append(0.0)
             continue
-        if f < NEGATIVE_DENSITY_FLOOR:
-            fs.append(math.nan)
-        else:
-            fs.append(max(f, 0.0))
+        try:
+            f = _ladder_density(p, x, warm)
+        except ConvergenceError:
+            f = math.nan
+        fs.append(max(f, 0.0) if f >= NEGATIVE_DENSITY_FLOOR else math.nan)
     return DensityGrid(xs=tuple(xs), fs=tuple(fs), eps_used=EPS_LADDER[-1])
 
 
 # ---------------------------------------------------------------------------
-# CDF by adaptive quadrature per support interval
+# CDF table: adaptive Simpson panels per support interval
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _Panel:
-    t0: float
-    t1: float
-    f0: float
-    fm: float
-    f1: float
-    mass: float
-
-
-@dataclass(frozen=True)
 class _IntervalCdf:
+    """CDF table of one support interval [lo, hi] in the cosine parameter t
+    of x = lo + (hi - lo)(1 - cos t)/2.  Panel i spans [edges[i], edges[i+1]]
+    (the last edge is pi); ``cum[i]`` is the raw mass below ``edges[i]`` and
+    ``left`` the nu-mass of the intervals to the left of this one.
+    """
+
     lo: float
     hi: float
-    panels: tuple[_Panel, ...]
-    starts: tuple[float, ...]  # t0 of each panel, for bisection
-    cum: tuple[float, ...]  # raw mass up to each panel start
-    raw_mass: float
+    edges: tuple[float, ...]
+    panels: tuple[tuple[float, float, float, float], ...]  # f0, fm, f1, mass
+    cum: tuple[float, ...]
     nu_mass: float
+    left: float
 
+    def raw_below(self, i: int, t: float) -> float:
+        """Raw mass below t, read from panel i: the Simpson parabola through
+        the panel's three values, integrated from the panel start to t."""
+        t0 = self.edges[i]
+        h = self.edges[i + 1] - t0
+        f0, fm, f1, mass = self.panels[i]
+        s = min(max((t - t0) / h, 0.0), 1.0)
+        i0 = (2.0 / 3.0) * s ** 3 - 1.5 * s ** 2 + s
+        im = -(4.0 / 3.0) * s ** 3 + 2.0 * s ** 2
+        i1 = (2.0 / 3.0) * s ** 3 - 0.5 * s ** 2
+        val = h * (f0 * i0 + fm * im + f1 * i1)
+        return self.cum[i] + min(max(val, 0.0), mass)
 
-def _adaptive_panels(f, a: float, b: float, tol: float) -> list[_Panel]:
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    out: list[_Panel] = []
-    _refine(f, a, b, fa, fm, fb, whole, tol, 0, out)
-    return out
+    def cdf(self, i: int, t: float) -> float:
+        """CDF of the limit law at t, with the raw mass rescaled to nu_mass."""
+        raw = self.cum[-1]
+        if raw > 0.0:
+            return self.left + self.nu_mass * self.raw_below(i, t) / raw
+        return self.left
 
 
 def _refine(f, a, b, fa, fm, fb, whole, tol, depth, out) -> None:
@@ -259,37 +265,37 @@ def _refine(f, a, b, fa, fm, fb, whole, tol, depth, out) -> None:
     left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
     right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
     if abs(left + right - whole) <= 15.0 * tol or depth >= 22:
-        out.append(_Panel(a, m, fa, flm, fm, left))
-        out.append(_Panel(m, b, fm, frm, fb, right))
+        out.append((a, fa, flm, fm, left))
+        out.append((m, fm, frm, fb, right))
         return
     _refine(f, a, m, fa, flm, fm, left, 0.5 * tol, depth + 1, out)
     _refine(f, m, b, fm, frm, fb, right, 0.5 * tol, depth + 1, out)
 
 
-def _interval_cdf(p: ModelParams, lo: float, hi: float,
-                  nu_mass: float) -> _IntervalCdf:
+def _interval_cdf(p: ModelParams, lo: float, hi: float, nu_mass: float,
+                  left: float) -> _IntervalCdf:
     half = 0.5 * (hi - lo)
-    warm = _WarmState()
+    warm: dict[float, complex] = {}
 
     def integrand(t: float) -> float:
         s = math.sin(t)
         if s == 0.0:
             return 0.0
         x = lo + half * (1.0 - math.cos(t))
-        f = warm.density(p, x)
+        f = _ladder_density(p, x, warm)
         if f < NEGATIVE_DENSITY_FLOOR:
             raise ConvergenceError(f"density solve failed inside [{lo}, {hi}]")
         return max(f, 0.0) * half * s
 
-    panels = _adaptive_panels(integrand, 0.0, math.pi, tol=1e-6)
-    cum = []
-    acc = 0.0
-    for panel in panels:
-        cum.append(acc)
-        acc += panel.mass
-    return _IntervalCdf(lo=lo, hi=hi, panels=tuple(panels),
-                        starts=tuple(pnl.t0 for pnl in panels), cum=tuple(cum),
-                        raw_mass=acc, nu_mass=nu_mass)
+    fa, fm, fb = integrand(0.0), integrand(0.5 * math.pi), integrand(math.pi)
+    panels: list[tuple] = []
+    _refine(integrand, 0.0, math.pi, fa, fm, fb,
+            math.pi * (fa + 4.0 * fm + fb) / 6.0, 1e-6, 0, panels)
+    return _IntervalCdf(
+        lo=lo, hi=hi, edges=tuple(pn[0] for pn in panels) + (math.pi,),
+        panels=tuple(pn[1:] for pn in panels),
+        cum=tuple(itertools.accumulate((pn[4] for pn in panels), initial=0.0)),
+        nu_mass=nu_mass, left=left)
 
 
 @functools.lru_cache(maxsize=None)
@@ -297,9 +303,11 @@ def _cdf_data(p: ModelParams) -> tuple[_IntervalCdf, ...]:
     sup = subordination.support(p)
     adm = sup.admissible
     out = []
+    left = 0.0
     for l, (lo, hi) in enumerate(sup.intervals):
         nu_mass = measure.mass_between(p.nu, adm.u[l], adm.v[l])
-        out.append(_interval_cdf(p, lo, hi, nu_mass))
+        out.append(_interval_cdf(p, lo, hi, nu_mass, left))
+        left += nu_mass
     return tuple(out)
 
 
@@ -309,32 +317,7 @@ def interval_masses(p: ModelParams) -> tuple[float, ...]:
     These are not normalized; comparing them against the nu-mass of the
     matching [u_l, v_l] interval is the mass-correspondence verification.
     """
-    return tuple(ic.raw_mass for ic in _cdf_data(p))
-
-
-def _quad_partial(panel: _Panel, t: float) -> float:
-    h = panel.t1 - panel.t0
-    if h <= 0.0:
-        return 0.0
-    s = min(max((t - panel.t0) / h, 0.0), 1.0)
-    i0 = (2.0 / 3.0) * s ** 3 - 1.5 * s ** 2 + s
-    im = -(4.0 / 3.0) * s ** 3 + 2.0 * s ** 2
-    i1 = (2.0 / 3.0) * s ** 3 - 0.5 * s ** 2
-    val = h * (panel.f0 * i0 + panel.fm * im + panel.f1 * i1)
-    return min(max(val, 0.0), max(panel.mass, 0.0))
-
-
-def _raw_partial(ic: _IntervalCdf, x: float) -> float:
-    if x <= ic.lo:
-        return 0.0
-    if x >= ic.hi:
-        return ic.raw_mass
-    half = 0.5 * (ic.hi - ic.lo)
-    arg = min(max(1.0 - (x - ic.lo) / half, -1.0), 1.0)
-    t = math.acos(arg)
-    idx = bisect_right(ic.starts, t) - 1
-    idx = min(max(idx, 0), len(ic.panels) - 1)
-    return ic.cum[idx] + _quad_partial(ic.panels[idx], t)
+    return tuple(ic.cum[-1] for ic in _cdf_data(p))
 
 
 def cdf_mu(p: ModelParams, x: float) -> float:
@@ -345,37 +328,45 @@ def cdf_mu(p: ModelParams, x: float) -> float:
     gap plateaus and the total mass to their exact values.
     """
     data = _cdf_data(p)
-    total = 0.0
     for ic in data:
-        if x >= ic.hi:
-            total += ic.nu_mass
-        elif x > ic.lo:
-            if ic.raw_mass > 0.0:
-                total += ic.nu_mass * _raw_partial(ic, x) / ic.raw_mass
+        if not x >= ic.hi:
             break
-        else:
-            break
-    return min(total, 1.0)
+    else:
+        return min(ic.left + ic.nu_mass, 1.0)
+    if not x > ic.lo:
+        return min(ic.left, 1.0)
+    half = 0.5 * (ic.hi - ic.lo)
+    t = math.acos(min(max(1.0 - (x - ic.lo) / half, -1.0), 1.0))
+    i = bisect_right(ic.edges, t, 1, len(ic.panels)) - 1  # the panel holding t
+    return min(ic.cdf(i, t), 1.0)
 
 
 def quantile_mu(p: ModelParams, alpha: float) -> float:
-    """Generalized inverse of ``cdf_mu`` for alpha strictly inside (0, 1)."""
+    """Generalized inverse of ``cdf_mu`` for alpha strictly inside (0, 1).
+
+    Reads the CDF table backwards: the interval from the nu-masses, the
+    panel by bisection on the CDF at the panel edges, then a bisection in t
+    inside that panel on the same function ``cdf_mu`` reads.
+    """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"quantile level must be in (0, 1), got {alpha!r}")
     data = _cdf_data(p)
-    cum = 0.0
     for ic in data:
-        if alpha <= cum + ic.nu_mass + 1e-15:
-            lo, hi = ic.lo, ic.hi
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if cdf_mu(p, mid) >= alpha:
-                    hi = mid
-                else:
-                    lo = mid
-            return 0.5 * (lo + hi)
-        cum += ic.nu_mass
-    return data[-1].hi
+        if alpha <= ic.left + ic.nu_mass + 1e-15:
+            break
+    else:
+        return data[-1].hi
+    i = bisect_left(range(len(ic.panels) - 1), True,
+                    key=lambda j: ic.cdf(j, ic.edges[j + 1]) >= alpha)
+    a, b = ic.edges[i], ic.edges[i + 1]
+    mid = 0.5 * (a + b)
+    while a < mid < b:
+        if ic.cdf(i, mid) >= alpha:
+            b = mid
+        else:
+            a = mid
+        mid = 0.5 * (a + b)
+    return ic.lo + 0.5 * (ic.hi - ic.lo) * (1.0 - math.cos(mid))
 
 
 def h_residual(p: ModelParams, x: float) -> float:
@@ -387,10 +378,14 @@ def h_residual(p: ModelParams, x: float) -> float:
     pure numerical error.
     """
     u = subordination.omega(p, x)
+    return _h_residual(p, x, u, solve_g(p, complex(x, 1e-9)).g)
+
+
+def _h_residual(p: ModelParams, x: float, u: float, gm: complex) -> float:
+    """``h_residual`` from u = omega(x) and g = g(x + 1e-9i) already solved."""
     if measure.support_of(p.nu).distance(u) <= measure.ATOL:
         raise DomainError(f"omega({x!r}) landed on supp(nu)")
     gn = measure.g_nu(p.nu, u)
-    gm = solve_g(p, complex(x, 1e-9)).g
     lhs = p.c * u * gn * gn + (1.0 - p.c) * gn
     rhs = p.c * x * gm * gm + (1.0 - p.c) * gm
     return abs(lhs - rhs)

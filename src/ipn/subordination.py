@@ -56,8 +56,8 @@ class ModelParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "c", float(self.c))
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma!r}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
         if not 0.0 < self.c <= 1.0:
             raise ValueError(f"c must be in (0, 1], got {self.c!r}")
         if not isinstance(self.nu, MeasureSpec):

@@ -82,6 +82,13 @@ def test_malformed_measure_exits_one(capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_nan_sigma_exits_one(capsys):
+    code = run_cli(["support", "--sigma", "nan", "--c", "1",
+                    "--nu", '{"atoms":[{"w":1,"t":1}]}'])
+    assert code == 1
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_one():
     assert run_cli(["support", "--bogus"]) == 1
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -28,11 +29,26 @@ def test_weights_must_sum_to_one():
 def test_weights_must_be_positive():
     with pytest.raises(ValueError):
         MeasureSpec(atoms=((1.5, 1.0), (-0.5, 2.0)))
+    with pytest.raises(ValueError):
+        MeasureSpec(atoms=((math.nan, 1.0),))
 
 
 def test_locations_nonnegative():
     with pytest.raises(ValueError):
         MeasureSpec(atoms=((1.0, -0.5),))
+    # and finite
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            MeasureSpec(atoms=((1.0, bad),))
+        with pytest.raises(ValueError):
+            MeasureSpec(segments=((1.0, 1.0, bad),))
+        with pytest.raises(ValueError):
+            MeasureSpec(segments=((1.0, bad, 3.0),))
+    # JSON input parses NaN and Infinity
+    with pytest.raises(ValueError):
+        MeasureSpec.from_dict(json.loads('{"atoms":[{"w":NaN,"t":1}]}'))
+    with pytest.raises(ValueError):
+        MeasureSpec.from_dict(json.loads('{"segments":[{"w":1,"lo":1,"hi":Infinity}]}'))
 
 
 def test_segments_disjoint():

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from ipn import spikes, stieltjes, subordination
+from ipn import simulate, spikes, stieltjes, subordination
 from ipn.errors import AmbiguousSpike, DomainError
+from ipn.simulate import SimConfig
 from ipn.spikes import SpikeOutcome, SpikeSpec
 
 from conftest import MODEL_D1_C1, MODEL_MERGED, MODEL_SPLIT
@@ -129,3 +131,21 @@ def test_summary_requires_capacity():
     with pytest.raises(DomainError):
         spikes.predicted_spectrum_summary(MODEL_D1_C1, SpikeSpec((4.0,), (2,)),
                                           n=1)
+
+
+@pytest.mark.parametrize("p, n, N, theta, case, limit, rank", [
+    (MODEL_SPLIT, 500, 1000, 4.0, spikes.LEFT_EDGE, 3.5325, 250),
+    (MODEL_MERGED, 500, 1000, 3.0, spikes.QUANTILE, 5.863, 250),
+    (MODEL_D1_C1, 500, 500, 0.5, spikes.ZERO, 0.0, 500),
+], ids=["left-edge", "quantile", "zero"])
+def test_sticking_spikes_against_monte_carlo(p, n, N, theta, case, limit, rank):
+    # the median eigenvalue at the spike's rank lies within verify-all's
+    # default outlier tolerance of the predicted limit
+    spec = SpikeSpec((theta,), (1,))
+    [out] = spikes.classify(p, spec)
+    assert out.case_tag == case
+    assert out.limit == pytest.approx(limit, abs=1e-3)
+    assert spikes.spike_ranks(p, spec, n) == [rank]
+    cfg = SimConfig(n=n, N=N, model=p, spikes=spec, seed=7, trials=3)
+    observed = np.median([s.eigenvalues[rank - 1] for s in simulate.run_trials(cfg)])
+    assert abs(observed - out.limit) <= simulate.DEFAULT_CHECKS["outlier_tolerance"]

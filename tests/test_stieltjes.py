@@ -12,7 +12,7 @@ from ipn.errors import DomainError
 from ipn.measure import MeasureSpec
 from ipn.subordination import ModelParams
 
-from conftest import (DELTA1, MODEL_D1_C1, MODEL_D2_HALF, MODEL_SPLIT,
+from conftest import (ALL_MODELS, DELTA1, MODEL_D1_C1, MODEL_D2_HALF, MODEL_SPLIT,
                       MODEL_UNIFORM, off_support_grid)
 
 
@@ -93,6 +93,12 @@ def test_density_vanishes_outside_support():
     pts = [sup.intervals[0][1] + 0.3, sup.intervals[0][1] + 1.0, -0.5]
     grid = stieltjes.density(MODEL_D1_C1, sorted(pts))
     assert all(f <= 1e-4 for f in grid.fs)
+    # exact edges and gap points are off the open support: exactly zero
+    (lo0, hi0), (lo1, hi1) = subordination.support(MODEL_SPLIT).intervals
+    pts = [lo0, 0.5 * (lo0 + hi0), hi0, 0.5 * (hi0 + lo1), lo1, hi1]
+    fs = stieltjes.density(MODEL_SPLIT, pts).fs
+    assert [fs[0], fs[2], fs[3], fs[4], fs[5]] == [0.0] * 5
+    assert fs[1] > 0.0
 
 
 def test_density_mass_normalizes():
@@ -149,13 +155,18 @@ def test_cdf_gap_midpoint_carries_left_mass():
 
 
 def test_quantile_cdf_round_trip():
-    sup = subordination.support(MODEL_D1_C1)
-    lo, hi = sup.intervals[0]
-    for f in (0.25, 0.5, 0.75):
-        x = lo + f * (hi - lo)
-        alpha = stieltjes.cdf_mu(MODEL_D1_C1, x)
-        assert stieltjes.quantile_mu(MODEL_D1_C1, alpha) == pytest.approx(
-            x, abs=1e-4)
+    for p in ALL_MODELS:
+        lo, hi = subordination.support(p).intervals[0]
+        for f in (0.25, 0.5, 0.75):
+            x = lo + f * (hi - lo)
+            alpha = stieltjes.cdf_mu(p, x)
+            assert stieltjes.quantile_mu(p, alpha) == pytest.approx(x, abs=1e-4)
+        for alpha in np.linspace(0.005, 0.995, 67):
+            q = stieltjes.quantile_mu(p, float(alpha))
+            assert abs(stieltjes.cdf_mu(p, q) - alpha) <= 1e-12
+    # a level on a gap plateau maps to the upper edge below the gap
+    hi0 = subordination.support(MODEL_SPLIT).intervals[0][1]
+    assert stieltjes.quantile_mu(MODEL_SPLIT, 0.5) == pytest.approx(hi0, abs=1e-9)
 
 
 def test_quantile_level_validation():

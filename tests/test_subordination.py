@@ -371,3 +371,6 @@ def test_model_params_validation():
         ModelParams(sigma=1.0, c=1.5, nu=DELTA1)
     with pytest.raises(ValueError):
         ModelParams(sigma=-1.0, c=0.5, nu=DELTA1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ModelParams(sigma=bad, c=0.5, nu=DELTA1)
