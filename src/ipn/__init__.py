@@ -4,7 +4,7 @@ Submodules:
 
 * ``measure``       atom + uniform-segment measures and their transforms
 * ``subordination`` forward/inverse spectral maps, admissible set, support
-* ``stieltjes``     fixed-point transform solver, density, CDF, quantiles
+* ``stieltjes``     transform solver (Newton on phi), density, CDF, quantiles
 * ``spikes``        spike classification and predicted eigenvalue limits
 * ``simulate``      seeded Monte Carlo sampling and verification
 * ``cli``           command-line front end

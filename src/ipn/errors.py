@@ -12,7 +12,7 @@ class DomainError(IPNError):
 
 
 class ConvergenceError(IPNError):
-    """An iterative scheme (fixed point, root isolation, extrapolation) failed."""
+    """An iterative scheme (Newton continuation, root isolation) failed."""
 
 
 class PreconditionError(IPNError):

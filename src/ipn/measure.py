@@ -128,9 +128,6 @@ class SupportComponents:
                            for lo, hi in self.intervals], axis=0)
         return min(max(lo - x, x - hi, 0.0) for lo, hi in self.intervals)
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.distance(x) <= tol
-
     def gaps(self) -> list[tuple[float, float]]:
         """Open intervals of the complement, including the two unbounded ones."""
         out = [(-math.inf, self.intervals[0][0])]

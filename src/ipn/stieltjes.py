@@ -1,17 +1,14 @@
-"""Fixed-point solver for the limit-law Stieltjes transform and its inversion.
+"""Transform solver for the limit law, and its density, CDF and quantiles.
 
-The transform g of the limit law satisfies g = F(g) where
-
-    F(g) = (1 - s^2 c g) * g_nu( z (1 - s^2 c g)^2 - s^2 (1-c)(1 - s^2 c g) )
-
-(the integral form of the defining self-consistent equation collapsed onto
-the closed-form transform of nu).  The solver damps the iteration and, when
-needed, continues from high up in the upper half plane where the map is
-strongly contractive.  Densities come from the boundary values of Im g and
-are exactly zero off the open support.  The CDF is one table of adaptive
-Simpson panels per support interval, rescaled to the nu-mass that the
-mass-correspondence identity assigns it: ``cdf_mu`` reads the table forwards
-and ``quantile_mu`` backwards.  ``h_residual`` checks the
+The Stieltjes transform of the limit law is g = g_nu(u) / (1 + s^2 c g_nu(u))
+at u = omega(z), the root of phi(u) = z with Im u > 0; g is also the fixed
+point of F(g) = (1 - s^2 c g) g_nu(z (1 - s^2 c g)^2 - s^2 (1-c)(1 - s^2 c g)).
+``solve_g`` finds u by Newton on ``phi``, continued down from z + i 2^m.  The
+same solve at a real x inside the open support gives the density -Im g / pi
+without extrapolation; off the open support it is exactly zero.  The CDF is
+one table of adaptive Simpson panels per support interval, rescaled to the
+nu-mass that the mass-correspondence identity assigns it: ``cdf_mu`` reads
+the table forwards and ``quantile_mu`` backwards.  ``h_residual`` checks the
 rectangular-convolution subordination identity.
 """
 
@@ -29,9 +26,6 @@ from . import measure, subordination
 from .errors import ConvergenceError, DomainError
 from .subordination import ModelParams
 
-#: Imaginary offsets used for boundary-value extrapolation of Im g.
-EPS_LADDER = (1e-3, 5e-4, 2.5e-4)
-
 #: Negative densities above this magnitude indicate solver failure rather
 #: than rounding noise.
 NEGATIVE_DENSITY_FLOOR = -1e-6
@@ -40,14 +34,19 @@ NEGATIVE_DENSITY_FLOOR = -1e-6
 #: the limit law may have its hard edge.
 ZERO_GUARD = 1e-6
 
-_DEFAULT_TOL = 1e-12
-_STAGE_BUDGET = 20_000
-_FINAL_BUDGET = 100_000
+#: Newton steps allowed per continuation stage, and stage splits per solve.
+_NEWTON_STEPS = 40
+_MAX_SPLITS = 60
+
+#: A warm-started root with Im u <= _AXIS_GUARD (1 + |u|) is a real root of
+#: phi(u) = x inside a complement interval, not the boundary value of omega.
+_AXIS_GUARD = 1e-9
 
 
 @dataclass(frozen=True)
 class GSolution:
-    """Solved transform value at one query point."""
+    """Solved transform value at one query point; ``iterations`` counts
+    Newton steps and ``residual`` is |F(g) - g|."""
 
     z: complex
     g: complex
@@ -57,17 +56,12 @@ class GSolution:
 
 @dataclass(frozen=True)
 class DensityGrid:
-    """Density values on an ordered grid; NaN marks points that failed to solve."""
+    """Density values on an ordered grid; NaN marks points that failed to
+    solve.  ``eps_used`` is the distance from the real axis, always 0.0."""
 
     xs: tuple[float, ...]
     fs: tuple[float, ...]
     eps_used: float
-
-    def trapezoid_mass(self) -> float:
-        xs = np.asarray(self.xs)
-        fs = np.asarray(self.fs)
-        ok = ~np.isnan(fs)
-        return float(np.trapezoid(fs[ok], xs[ok]))
 
 
 def _fp_map(p: ModelParams, z: complex, g: complex) -> complex:
@@ -78,32 +72,75 @@ def _fp_map(p: ModelParams, z: complex, g: complex) -> complex:
     return w * measure.g_nu(p.nu, zeta)
 
 
-def _iterate(p: ModelParams, z: complex, g0: complex, tol: float,
-             budget: int) -> tuple[complex, int, float] | None:
-    g = g0
-    for k in range(budget):
+def _g_mu(p: ModelParams, u: complex) -> complex:
+    gn = measure.g_nu(p.nu, u)
+    return gn / (1.0 + p.sigma ** 2 * p.c * gn)
+
+
+def _newton(p: ModelParams, z: complex, u: complex, tol: float = 1e-12
+            ) -> tuple[complex | None, int]:
+    """Newton on phi(u) = z from u: the root and the steps taken, with None
+    for the root when a step leaves the upper half plane or the run does not
+    settle.  It settles when a step is below tol (1 + |u|), or when steps
+    below 1e-8 (1 + |u|) stop shrinking (the rounding floor)."""
+    prev = math.inf
+    for k in range(1, _NEWTON_STEPS + 1):
         try:
-            fg = _fp_map(p, z, g)
+            step = (subordination.phi(p, u) - z) / subordination.phi_prime(p, u)
         except ZeroDivisionError:
-            return None
-        if not (math.isfinite(fg.real) and math.isfinite(fg.imag)):
-            return None
-        r = abs(fg - g)
-        if r <= tol:
-            return g, k + 1, r
-        g = 0.5 * (g + fg)
-    return None
+            return None, k
+        u -= step
+        if not (u.imag > 0.0 and abs(u) < math.inf):
+            return None, k
+        s, scale = abs(step), 1.0 + abs(u)
+        if s <= tol * scale or prev <= s <= 1e-8 * scale:
+            return u, k
+        prev = s
+    return None, _NEWTON_STEPS
 
 
-def solve_g(p: ModelParams, z: complex, tol: float = _DEFAULT_TOL) -> GSolution:
-    """Solve the self-consistent equation for g at z in the upper half plane.
+def _omega(p: ModelParams, z: complex, warm: complex | None = None
+           ) -> tuple[complex, int]:
+    """The root u of phi(u) = z with Im u > 0, for Im z >= 0, and the Newton
+    steps taken.  A warm root is kept unless it is within _AXIS_GUARD of the
+    real axis; otherwise Newton runs down the stages z + i 2^m, m = m_hi,
+    m_hi - 3, ... >= 0, and then z, each started from the root before and
+    solved to 1e-4 until the last.  A stage that fails is retried after one
+    halfway back to the last stage solved."""
+    steps = 0
+    if warm is not None:
+        u, steps = _newton(p, z, warm)
+        if u is not None and u.imag > _AXIS_GUARD * (1.0 + abs(u)):
+            return u, steps
+    span = measure.support_of(p.nu).max + p.sigma ** 2
+    m_hi = math.ceil(math.log2(max(1.0, abs(z), span))) + 1
+    u = complex(z.real - p.sigma ** 2 * (1.0 + p.c), z.imag + 2.0 ** m_hi)
+    todo = [0.0] + [2.0 ** m for m in range(m_hi % 3, m_hi + 1, 3)]  # pop() is next
+    solved = None  # offset of the last stage solved
+    splits = 0
+    while todo:
+        h = todo.pop()
+        root, k = _newton(p, complex(z.real, z.imag + h), u, 1e-4 if h else 1e-12)
+        steps += k
+        if root is not None:
+            u, solved = root, h
+        elif solved is None or splits == _MAX_SPLITS:
+            raise ConvergenceError(f"Newton continuation failed at z={z!r}, "
+                                   f"offset {h!r}")
+        else:
+            todo += [h, 0.5 * (solved + h)]
+            splits += 1
+    return u, steps
 
-    Damped fixed-point iteration (damping 1/2) started from 1/z.  If the
-    direct iteration does not settle, the solver walks down a geometric
-    ladder z + i*2^m, warm-starting each stage from the previous solution;
-    the final stage at z gets a budget of 10^5 iterations before
-    ConvergenceError.  The returned g satisfies |g - F(g)| <= tol together
-    with the half-plane sign constraints Im g < 0 and Im(z g) <= 0.
+
+def solve_g(p: ModelParams, z: complex, tol: float = 1e-12) -> GSolution:
+    """Solve for the transform g at z in the upper half plane.
+
+    Finds u = omega(z) by Newton continuation (see ``_omega``) and returns
+    g = g_nu(u) / (1 + s^2 c g_nu(u)), after up to three more Newton steps
+    while |F(g) - g| > tol.  Raises ConvergenceError unless
+    |F(g) - g| <= tol and g satisfies the half-plane sign constraints
+    Im g < 0 and Im(z g) <= 0.
     """
     z = complex(z)
     if z.imag <= 0.0:
@@ -111,67 +148,19 @@ def solve_g(p: ModelParams, z: complex, tol: float = _DEFAULT_TOL) -> GSolution:
     if p.sigma == 0.0:
         g = measure.g_nu(p.nu, z)
         return GSolution(z=z, g=g, iterations=0, residual=0.0)
-
-    total = 0
-    result = _iterate(p, z, 1.0 / z, tol, _STAGE_BUDGET)
-    if result is not None:
-        g, it, r = result
-        total = it
-    else:
-        total = _STAGE_BUDGET
-        span = measure.support_of(p.nu).max + p.sigma ** 2
-        m_hi = max(3, int(math.ceil(math.log2(max(1.0, abs(z), span)))) + 3)
-        z_top = z + 1j * 2.0 ** m_hi
-        g = 1.0 / z_top
-        for m in range(m_hi, -1, -1):
-            zz = z + 1j * 2.0 ** m
-            result = _iterate(p, zz, g, tol, _STAGE_BUDGET)
-            if result is None:
-                raise ConvergenceError(f"continuation stalled at offset 2^{m}")
-            g, it, _ = result
-            total += it
-        result = _iterate(p, z, g, tol, _FINAL_BUDGET)
-        if result is None:
-            raise ConvergenceError(
-                f"fixed point did not converge at z={z!r} after {_FINAL_BUDGET} "
-                "iterations at the final continuation stage")
-        g, it, r = result
-        total += it
-
-    if not g.imag < 0.0:
-        raise ConvergenceError(f"solution at z={z!r} violates Im g < 0")
+    u, steps = _omega(p, z)
+    for k in range(4):  # at the rounding floor Newton steps dither around u
+        g = _g_mu(p, u)
+        r = abs(_fp_map(p, z, g) - g)
+        if r <= tol or k == 3:
+            break
+        u -= (subordination.phi(p, u) - z) / subordination.phi_prime(p, u)
+    steps += k
+    if not (r <= tol and g.imag < 0.0):
+        raise ConvergenceError(f"no solution at z={z!r}: residual {r!r}, g={g!r}")
     if (z * g).imag > 1e-12 * max(1.0, abs(z * g)):
         raise ConvergenceError(f"solution at z={z!r} violates Im(z g) <= 0")
-    return GSolution(z=z, g=g, iterations=total, residual=r)
-
-
-def _neville_at_zero(eps: tuple[float, ...], ys: list[float]) -> float:
-    tab = list(ys)
-    n = len(tab)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            tab[i] = ((eps[i - j] * tab[i] - eps[i] * tab[i - 1])
-                      / (eps[i - j] - eps[i]))
-    return tab[-1]
-
-
-def _ladder_density(p: ModelParams, x: float, warm: dict[float, complex]) -> float:
-    """Density at x from Im g on the epsilon ladder, extrapolated to zero.
-
-    ``warm`` maps each epsilon to the last solution of a sweep; each solve
-    (to 1e-10) starts there with a budget of 5000 iterations, falls back to
-    a cold ``solve_g``, and stores its solution back.
-    """
-    ys = []
-    for eps in EPS_LADDER:
-        z = complex(x, eps)
-        result = _iterate(p, z, warm[eps], 1e-10, 5_000) if eps in warm else None
-        if result is not None and result[0].imag < 0.0:
-            warm[eps] = result[0]
-        else:
-            warm[eps] = solve_g(p, z, tol=1e-10).g
-        ys.append(warm[eps].imag)
-    return -_neville_at_zero(EPS_LADDER, ys) / math.pi
+    return GSolution(z=z, g=g, iterations=steps, residual=r)
 
 
 def near_zero(p: ModelParams, x):
@@ -181,14 +170,14 @@ def near_zero(p: ModelParams, x):
 
 
 def density(p: ModelParams, xs) -> DensityGrid:
-    """Density of the limit law on an ordered grid by boundary extrapolation.
+    """Density of the limit law on an ordered grid, -Im g(x) / pi.
 
-    Im g is evaluated on the epsilon ladder and extrapolated to the real
-    axis.  Values in [-1e-6, 0) clamp to zero; anything below that marks the
-    point invalid (NaN) instead of failing the whole grid.  Points not
-    strictly inside a support interval (the edges and the gaps) get exactly
-    zero without a solve.  The grid must stay within a bounding box around
-    the computed support and outside ``near_zero``.
+    g is solved on the real axis itself, each point warm-started from the
+    last.  Values in [-1e-6, 0) clamp to zero; anything below that, or a
+    failed solve, marks the point invalid (NaN) instead of failing the whole
+    grid.  Points not strictly inside a support interval (the edges and the
+    gaps) get exactly zero without a solve.  The grid must stay within a
+    bounding box around the computed support and outside ``near_zero``.
     """
     sup = subordination.support(p)
     xs = [float(x) for x in xs]
@@ -203,18 +192,19 @@ def density(p: ModelParams, xs) -> DensityGrid:
         if near_zero(p, x):
             raise DomainError(f"grid may not enter the {ZERO_GUARD} "
                               "neighborhood of zero when c = 1")
-    warm: dict[float, complex] = {}
+    warm = None
     fs = []
     for x in xs:
         if not any(a < x < b for a, b in sup.intervals):
             fs.append(0.0)
             continue
         try:
-            f = _ladder_density(p, x, warm)
+            warm, _ = _omega(p, complex(x, 0.0), warm)
+            f = -_g_mu(p, warm).imag / math.pi
         except ConvergenceError:
             f = math.nan
         fs.append(max(f, 0.0) if f >= NEGATIVE_DENSITY_FLOOR else math.nan)
-    return DensityGrid(xs=tuple(xs), fs=tuple(fs), eps_used=EPS_LADDER[-1])
+    return DensityGrid(xs=tuple(xs), fs=tuple(fs), eps_used=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +265,18 @@ def _refine(f, a, b, fa, fm, fb, whole, tol, depth, out) -> None:
 def _interval_cdf(p: ModelParams, lo: float, hi: float, nu_mass: float,
                   left: float) -> _IntervalCdf:
     half = 0.5 * (hi - lo)
-    warm: dict[float, complex] = {}
+    warm = None
 
     def integrand(t: float) -> float:
-        s = math.sin(t)
-        if s == 0.0:
-            return 0.0
+        nonlocal warm
         x = lo + half * (1.0 - math.cos(t))
-        f = _ladder_density(p, x, warm)
+        if not (0.0 < t < math.pi and lo < x < hi):
+            return 0.0
+        warm, _ = _omega(p, complex(x, 0.0), warm)
+        f = -_g_mu(p, warm).imag / math.pi
         if f < NEGATIVE_DENSITY_FLOOR:
             raise ConvergenceError(f"density solve failed inside [{lo}, {hi}]")
-        return max(f, 0.0) * half * s
+        return max(f, 0.0) * half * math.sin(t)
 
     fa, fm, fb = integrand(0.0), integrand(0.5 * math.pi), integrand(math.pi)
     panels: list[tuple] = []
@@ -325,8 +316,11 @@ def cdf_mu(p: ModelParams, x: float) -> float:
 
     The per-interval quadrature is rescaled so interval l carries exactly
     the mass nu([u_l, v_l]) (the mass-correspondence identity), which pins
-    gap plateaus and the total mass to their exact values.
+    gap plateaus and the total mass to their exact values.  A NaN x raises
+    DomainError.
     """
+    if math.isnan(x):
+        raise DomainError("cdf_mu is undefined at NaN")
     data = _cdf_data(p)
     for ic in data:
         if not x >= ic.hi:

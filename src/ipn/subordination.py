@@ -23,7 +23,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import measure
 from .errors import ConvergenceError, DomainError
@@ -137,9 +136,6 @@ class SupportResult:
     def components(self) -> measure.SupportComponents:
         return measure.SupportComponents(self.intervals)
 
-    def distance(self, x: float) -> float:
-        return self.components.distance(x)
-
     def to_dict(self) -> dict:
         return {
             "intervals": [[lo, hi] for lo, hi in self.intervals],
@@ -174,6 +170,26 @@ def phi_prime(p: ModelParams, x):
 def _require_positive_sigma(p: ModelParams) -> None:
     if p.sigma <= 0.0:
         raise DomainError("operation requires sigma > 0")
+
+
+def _bracketed_root(f, a: float, b: float, xtol: float, fprime=None) -> float:
+    """Root of f in [a, b], where f changes sign, to within xtol: bisection,
+    or with ``fprime`` Newton steps, each kept inside the shrinking bracket."""
+    fa = f(a)
+    x = 0.5 * (a + b)
+    for _ in range(200):
+        fx = f(x)
+        if (fx > 0.0) == (fa > 0.0):
+            a, fa = x, fx
+        else:
+            b = x
+        nxt = 0.5 * (a + b) if fprime is None else x - fx / fprime(x)
+        if abs(nxt - x) <= xtol:
+            return nxt
+        x = nxt if a < nxt < b else 0.5 * (a + b)
+        if not a < x < b:  # the bracket is down to adjacent floats
+            return x
+    raise ConvergenceError(f"root in [{a!r}, {b!r}] did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -248,30 +264,22 @@ def _sample_points(lo: float, hi: float, cluster_lo: bool, cluster_hi: bool,
     return xs[(xs > lo + guard_lo) & (xs < hi - guard_hi)]
 
 
-def _phi_prime_marks(p: ModelParams, xs: np.ndarray) -> list[float] | None:
-    """Zeros of phi' bracketed by sign changes over the sample points.
-
-    Returns None when a bracketed root cannot be refined (caller refines the
-    grid and retries).
-    """
+def _phi_prime_marks(p: ModelParams, xs: np.ndarray) -> list[float]:
+    """Zeros of phi' bracketed by sign changes over the sample points,
+    bisected to BOUNDARY_XTOL / 10."""
     vals = phi_prime(p, xs)
     signs = np.zeros(len(xs), dtype=int)
     signs[vals > PHI_PRIME_FLOOR] = 1
     signs[vals < -PHI_PRIME_FLOOR] = -1
     marks: list[float] = []
-    f = lambda u: phi_prime(p, u)
     prev_idx = None
     for i, s in enumerate(signs):
         if s == 0:
             marks.append(float(xs[i]))
             continue
         if prev_idx is not None and signs[prev_idx] == -s:
-            try:
-                root = brentq(f, xs[prev_idx], xs[i],
-                              xtol=BOUNDARY_XTOL * 0.1, rtol=1e-15)
-            except ValueError:
-                return None
-            marks.append(float(root))
+            marks.append(_bracketed_root(lambda u: phi_prime(p, u), float(xs[prev_idx]),
+                                         float(xs[i]), BOUNDARY_XTOL * 0.1))
         prev_idx = i
     return sorted(marks)
 
@@ -344,7 +352,8 @@ def g_threshold_crossing(p: ModelParams, gap: tuple[float, float]) -> float | No
             d *= 0.5
     if left is None:
         raise ConvergenceError("could not bracket the g-threshold from the left")
-    return float(brentq(f, left, right, xtol=BOUNDARY_XTOL * 0.1, rtol=1e-15))
+    return _bracketed_root(f, left, right, BOUNDARY_XTOL * 0.1,
+                           lambda u: measure.g_nu_prime(p.nu, u))
 
 
 def _intersect(pieces: list[tuple[float, float]],
@@ -388,14 +397,12 @@ def _scan_gap(p: ModelParams, gap_lo: float, gap_hi: float,
                             cluster_lo=not math.isinf(gap_lo),
                             cluster_hi=not math.isinf(gap_hi),
                             npts=npts)
-        marks = _phi_prime_marks(p, xs)
-        if marks is not None:
-            pieces = _positive_pieces(p, win_lo, win_hi, marks,
-                                      open_lo=math.isinf(gap_lo),
-                                      open_hi=math.isinf(gap_hi))
-            good = _drop_slivers(_intersect(pieces, -math.inf, g_hi))
-            if _gap_structure_ok(good, gap_lo, gap_hi):
-                return good
+        pieces = _positive_pieces(p, win_lo, win_hi, _phi_prime_marks(p, xs),
+                                  open_lo=math.isinf(gap_lo),
+                                  open_hi=math.isinf(gap_hi))
+        good = _drop_slivers(_intersect(pieces, -math.inf, g_hi))
+        if _gap_structure_ok(good, gap_lo, gap_hi):
+            return good
         npts *= 2
     raise ConvergenceError(
         f"sign pattern in gap ({gap_lo}, {gap_hi}) unresolved at "
@@ -425,9 +432,9 @@ def admissible_set(p: ModelParams) -> AdmissibleSet:
     Each gap of supp(nu) is scanned on a uniform-plus-endpoint-clustered grid
     (4096 points, doubled adaptively on unresolved sign patterns), sign
     changes of phi' and the single crossing of g_nu with -1/(sigma^2 c) are
-    bracketed, and boundaries are refined by bracketing root isolation to
-    absolute 1e-11.  Raises ConvergenceError if a gap stays unresolved at
-    2^16 points.
+    bracketed, and boundaries are refined inside their brackets (bisection
+    on phi', Newton on g_nu) to absolute 1e-11.  Raises ConvergenceError if
+    a gap stays unresolved at 2^16 points.
     """
     _require_positive_sigma(p)
     thr = -1.0 / (p.sigma ** 2 * p.c)
@@ -510,9 +517,10 @@ def support(p: ModelParams) -> SupportResult:
 def omega(p: ModelParams, x: float) -> float:
     """Inverse of ``phi``: the admissible point u with phi(u) = x.
 
-    ``x`` must lie strictly outside the support of the limit law; the
-    matching admissible-set component is bisected using the proven strict
-    monotonicity of ``phi``.  The residual |phi(omega(x)) - x| is at most
+    ``x`` must lie strictly outside the support of the limit law.  On the
+    matching admissible-set component ``phi`` is strictly increasing, so
+    Newton on phi(u) = x is kept inside a bracket of that component that
+    shrinks with every step.  The residual |phi(omega(x)) - x| is at most
     1e-10 * max(1, |x|).
     """
     _require_positive_sigma(p)
@@ -540,7 +548,7 @@ def omega(p: ModelParams, x: float) -> float:
     elif f(hi_b) <= 0.0:
         u = hi_b
     else:
-        u = float(brentq(f, lo_b, hi_b, xtol=1e-13, rtol=1e-15, maxiter=200))
+        u = _bracketed_root(f, lo_b, hi_b, 1e-13, lambda u: phi_prime(p, u))
     if abs(phi(p, u) - x) > 1e-10 * max(1.0, abs(x)):
         raise ConvergenceError(f"omega residual too large at x={x!r}")
     return u
@@ -550,7 +558,7 @@ def k_transform(p: ModelParams, x: float, tol: float = 1e-12) -> float:
     """Map x -> x + sigma^2(1-c)/(1 - sigma^2 c g(x)) through the c=1 companion model.
 
     ``g`` is the Stieltjes transform of the limit law with parameters
-    (sigma*sqrt(c), nu, 1), evaluated by the fixed-point solver just above
+    (sigma*sqrt(c), nu, 1), evaluated by ``stieltjes.solve_g`` just above
     the real axis.  Satisfies K(phi_aux(u)) = phi(u) on the companion
     admissible set, which is the cross-check exercised by the tests.
     Requires c < 1 and x outside the companion support.

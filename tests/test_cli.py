@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,3 +302,19 @@ def test_flags_override_config(tmp_path):
     report = read_json(str(out))
     assert report["model"]["nu"]["atoms"][0]["t"] == 2.0
     assert report["result"]["zero_in_support"] is False
+
+
+def test_support_runs_without_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests alone
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys\n"
+            "from ipn import cli\n"
+            "rc = cli.run(['support', '--config', 'configs/reference_a.json',"
+            " '--no-timestamp'])\n"
+            "assert rc == 0, rc\n"
+            "assert 'scipy' not in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('scipy'))\n")
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,4 @@
-"""Tests for the fixed-point transform solver, density, CDF, and residuals."""
+"""Tests for the transform solver, density, CDF, and residuals."""
 
 from __future__ import annotations
 
@@ -76,6 +76,16 @@ def test_solve_g_real_part_bound():
             assert bound - sol.g.real > 0.0
 
 
+@pytest.mark.parametrize("p", ALL_MODELS)
+def test_solve_g_just_inside_every_support_edge(p):
+    for a, b in subordination.support(p).intervals:
+        for x in (a + 1e-4, b - 1e-4):
+            sol = stieltjes.solve_g(p, complex(x, 1e-9))
+            assert sol.residual <= 1e-12 and sol.g.imag < 0.0
+            f = stieltjes.density(p, [x]).fs[0]
+            assert -sol.g.imag / math.pi == pytest.approx(f, rel=1e-5)
+
+
 def test_solve_g_sigma_zero_degenerates_to_nu():
     p = ModelParams(sigma=0.0, c=1.0, nu=DELTA1)
     z = complex(3.0, 0.5)
@@ -108,7 +118,7 @@ def test_density_mass_normalizes():
     grid = stieltjes.density(MODEL_D1_C1, xs)
     assert not any(math.isnan(f) for f in grid.fs)
     assert all(f >= 0.0 for f in grid.fs)
-    assert grid.trapezoid_mass() == pytest.approx(1.0, abs=1e-3)
+    assert np.trapezoid(grid.fs, grid.xs) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_density_two_interval_masses():
@@ -128,15 +138,40 @@ def test_density_grid_preconditions():
 
 
 def test_density_matches_marchenko_pastur_closed_form():
-    # with nu = delta_0-free point mass pushed to zero weight the limit law
-    # is the scaled MP law; here test the pure-noise limit via tiny signal
-    nu = MeasureSpec(atoms=((1.0, 1e-9),))
-    p = ModelParams(sigma=1.0, c=0.5, nu=nu)
-    lo, hi = measure.mp_edges(0.5, 1.0)
-    xs = [float(x) for x in np.linspace(lo + 0.05, hi - 0.05, 40)]
-    grid = stieltjes.density(p, xs)
-    for x, f in zip(grid.xs, grid.fs):
-        assert f == pytest.approx(measure.mp_density(0.5, 1.0, x), abs=2e-3)
+    # nu = delta at 1e-9 makes the limit law the scaled MP law to within
+    # 1e-9; at c = 1 the grid also runs within 1e-5 of the hard edge at zero
+    for c in (0.5, 1.0):
+        p = ModelParams(sigma=1.0, c=c, nu=MeasureSpec.point_mass(1e-9))
+        lo, hi = measure.mp_edges(c, 1.0)
+        xs = [float(x) for x in np.linspace(lo + 0.05, hi - 0.05, 40)]
+        if c == 1.0:
+            xs = [1.5e-6, 2e-6, 5e-6, 1e-5] + xs
+        grid = stieltjes.density(p, xs)
+        for x, f in zip(grid.xs, grid.fs):
+            assert f == pytest.approx(measure.mp_density(c, 1.0, x), rel=1e-6)
+
+
+def test_density_matches_cubic_oracle_near_both_edges():
+    # nu = delta_1, sigma = 1, c = 1: g solves z g^3 - 2 z g^2 + z g - 1 = 0,
+    # solved here at 50 digits; the density is max(-Im g) / pi over its roots
+    import mpmath
+
+    with mpmath.workdps(50):
+        for x in (6.75 - 1e-6, 6.75 - 1e-4, 1e-3, 1e-5):
+            xm = mpmath.mpf(x)
+            roots = mpmath.polyroots([xm, -2 * xm, xm, -1], maxsteps=200,
+                                     extraprec=200)
+            ref = float(max(-mpmath.im(r) for r in roots) / mpmath.pi)
+            f = stieltjes.density(MODEL_D1_C1, [x]).fs[0]
+            assert f == pytest.approx(ref, rel=1e-8), x
+
+
+def test_interval_mass_at_the_hard_edge():
+    # near-MP at c = 1: the density diverges like x^(-1/2) at zero
+    p = ModelParams(sigma=1.0, c=1.0, nu=MeasureSpec.point_mass(1e-9))
+    adm = subordination.admissible_set(p)
+    (mass,) = stieltjes.interval_masses(p)
+    assert abs(mass - measure.mass_between(p.nu, adm.u[0], adm.v[0])) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +209,13 @@ def test_quantile_level_validation():
         stieltjes.quantile_mu(MODEL_D1_C1, 0.0)
     with pytest.raises(DomainError):
         stieltjes.quantile_mu(MODEL_D1_C1, 1.0)
+
+
+def test_cdf_rejects_nan():
+    with pytest.raises(DomainError):
+        stieltjes.cdf_mu(MODEL_SPLIT, math.nan)
+    assert stieltjes.cdf_mu(MODEL_SPLIT, math.inf) == 1.0
+    assert stieltjes.cdf_mu(MODEL_SPLIT, -math.inf) == 0.0
 
 
 def test_cdf_monotone_and_bounded():

@@ -334,7 +334,7 @@ def test_k_transform_composition_identity():
 
 
 def test_k_transform_both_sides_independent():
-    # left side through the fixed-point solver, right side closed-form phi
+    # left side through the transform solver, right side closed-form phi
     p = MODEL_D2_HALF
     aux = ModelParams(sigma=p.sigma * math.sqrt(p.c), c=1.0, nu=p.nu)
     x_aux = subordination.phi(aux, 0.5)
