@@ -223,6 +223,21 @@ def g_nu_prime(m: MeasureSpec, z):
     return total
 
 
+def log_potential(m: MeasureSpec, z: complex) -> complex:
+    """Integral of log(z - x) against ``m`` for Im z > 0, principal branch.
+
+    Its derivative is ``g_nu``, and Im of it tends to pi * m((x, inf)) as z
+    tends to a real x off supp(m) from above.
+    """
+    total = 0j
+    for w, t in m.atoms:
+        total += w * cmath.log(z - t)
+    for w, lo, hi in m.segments:
+        total += (w / (hi - lo)) * ((z - lo) * cmath.log(z - lo)
+                                    - (z - hi) * cmath.log(z - hi)) - w
+    return total
+
+
 def cdf(m: MeasureSpec, x: float) -> float:
     """Right-continuous distribution function of ``m`` at x."""
     total = 0.0

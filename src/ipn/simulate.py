@@ -273,7 +273,7 @@ def empirical_cdf_distance(model: ModelParams, samples: list[EigenSample]) -> fl
         return math.nan
     pooled = np.sort(np.concatenate([s.eigenvalues for s in samples]))
     m = len(pooled)
-    model_cdf = np.array([stieltjes.cdf_mu(model, float(x)) for x in pooled])
+    model_cdf = stieltjes.cdf_mu(model, pooled)
     upper = np.max(np.arange(1, m + 1) / m - model_cdf)
     lower = np.max(model_cdf - np.arange(0, m) / m)
     return float(max(upper, lower))

@@ -157,26 +157,3 @@ def spike_ranks(p: ModelParams, s: SpikeSpec, n: int | None = None) -> list[int]
     signal = signal_eigenvalues(p, s, s.r if n is None else n)
     return [1 + int(np.sum(signal > theta)) for theta in s.thetas]
 
-
-def predicted_spectrum_summary(p: ModelParams, s: SpikeSpec,
-                               n: int) -> list[tuple[tuple[int, int | None], float]]:
-    """Rank ranges with predicted limits for a matrix of size n.
-
-    Emits one entry per spike packet (descending rank range, predicted
-    limit), then an open-ended entry at the first non-outlier rank for the
-    bulk right edge and an open-ended entry at rank n for the bulk left
-    limit.  Rank ranges are 1-based; None marks an open end.
-    """
-    ranks = spike_ranks(p, s, n)
-    sup = subordination.support(p)
-    outcomes = classify(p, s)
-    entries: list[tuple[tuple[int, int | None], float]] = []
-    top_outliers = 0
-    for outcome, k, start in zip(outcomes, s.multiplicities, ranks):
-        entries.append(((start, start + k - 1), outcome.limit))
-        if outcome.case_tag == OUTLIER and outcome.theta > sup.admissible.v[-1]:
-            top_outliers += k
-    entries.append(((top_outliers + 1, None), sup.intervals[-1][1]))
-    entries.append(((n, None), sup.intervals[0][0]))
-    entries.sort(key=lambda e: (e[0][0], e[0][1] is None))
-    return entries

@@ -5,19 +5,22 @@ at u = omega(z), the root of phi(u) = z with Im u > 0; g is also the fixed
 point of F(g) = (1 - s^2 c g) g_nu(z (1 - s^2 c g)^2 - s^2 (1-c)(1 - s^2 c g)).
 ``solve_g`` finds u by Newton on ``phi``, continued down from z + i 2^m.  The
 same solve at a real x inside the open support gives the density -Im g / pi
-without extrapolation; off the open support it is exactly zero.  The CDF is
-one table of adaptive Simpson panels per support interval, rescaled to the
-nu-mass that the mass-correspondence identity assigns it: ``cdf_mu`` reads
-the table forwards and ``quantile_mu`` backwards.  ``h_residual`` checks the
+without extrapolation; off the open support it is exactly zero.  The CDF has
+a closed form at the same root (``_cdf_at``), which on a gap reduces to the
+mass correspondence mu((-inf, x]) = nu((-inf, omega(x)]).  One table per
+support interval holds adaptive Simpson nodes with their roots and exact CDF
+values: ``cdf_mu`` warm-starts from them and ``quantile_mu`` brackets its
+Newton run between two of them, while the Simpson mass of the density
+(``interval_masses``) stays an independent check.  ``h_residual`` checks the
 rectangular-convolution subordination identity.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
-import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,8 +142,8 @@ def solve_g(p: ModelParams, z: complex, tol: float = 1e-12) -> GSolution:
     Finds u = omega(z) by Newton continuation (see ``_omega``) and returns
     g = g_nu(u) / (1 + s^2 c g_nu(u)), after up to three more Newton steps
     while |F(g) - g| > tol.  Raises ConvergenceError unless
-    |F(g) - g| <= tol and g satisfies the half-plane sign constraints
-    Im g < 0 and Im(z g) <= 0.
+    |F(g) - g| <= tol max(1, |g|) (the rounding floor grows with |g|) and g
+    satisfies the half-plane sign constraints Im g < 0 and Im(z g) <= 0.
     """
     z = complex(z)
     if z.imag <= 0.0:
@@ -156,7 +159,7 @@ def solve_g(p: ModelParams, z: complex, tol: float = 1e-12) -> GSolution:
             break
         u -= (subordination.phi(p, u) - z) / subordination.phi_prime(p, u)
     steps += k
-    if not (r <= tol and g.imag < 0.0):
+    if not (r <= tol * max(1.0, abs(g)) and g.imag < 0.0):
         raise ConvergenceError(f"no solution at z={z!r}: residual {r!r}, g={g!r}")
     if (z * g).imag > 1e-12 * max(1.0, abs(z * g)):
         raise ConvergenceError(f"solution at z={z!r} violates Im(z g) <= 0")
@@ -208,63 +211,64 @@ def density(p: ModelParams, xs) -> DensityGrid:
 
 
 # ---------------------------------------------------------------------------
-# CDF table: adaptive Simpson panels per support interval
+# CDF: closed form at omega, and a table of adaptive Simpson nodes
 # ---------------------------------------------------------------------------
+
+def _cdf_at(p: ModelParams, x: float, u: complex) -> float:
+    """CDF of the limit law at x inside the support, from u = omega(x + i0).
+
+    With g = g_nu(u), a = 1 + s^2 c g and L_nu = ``measure.log_potential``,
+    Lambda(u) = L_nu(u) + (x - u - 2 s^2 c u g - s^2 (1-c) log a) / (s^2 c)
+    has derivative g_mu(phi(u)) phi'(u), so Lambda(omega(z)) is the integral
+    of log(z - t) dmu(t) up to a real constant, and its imaginary part is
+    pi mu((x, inf)).  Returns 1 - Im Lambda(u) / pi clamped to [0, 1].
+    """
+    s2c = p.sigma ** 2 * p.c
+    g = measure.g_nu(p.nu, u)
+    a = 1.0 + s2c * g
+    lam = measure.log_potential(p.nu, u) + (
+        x - u - 2.0 * s2c * u * g - p.sigma ** 2 * (1.0 - p.c) * cmath.log(a)) / s2c
+    return min(max(1.0 - lam.imag / math.pi, 0.0), 1.0)
+
 
 @dataclass(frozen=True)
 class _IntervalCdf:
-    """CDF table of one support interval [lo, hi] in the cosine parameter t
-    of x = lo + (hi - lo)(1 - cos t)/2.  Panel i spans [edges[i], edges[i+1]]
-    (the last edge is pi); ``cum[i]`` is the raw mass below ``edges[i]`` and
-    ``left`` the nu-mass of the intervals to the left of this one.
-    """
+    """CDF table of one support interval: the Simpson mass of the density
+    over it, the adaptive Simpson nodes xs (ascending, both edges included),
+    the roots u = omega(x + i0) found there (None at the edges, where omega
+    is real) and the exact CDF at each node (the nu-mass plateaus at the
+    edges)."""
 
-    lo: float
-    hi: float
-    edges: tuple[float, ...]
-    panels: tuple[tuple[float, float, float, float], ...]  # f0, fm, f1, mass
-    cum: tuple[float, ...]
-    nu_mass: float
-    left: float
+    mass: float
+    xs: tuple[float, ...]
+    us: tuple[complex | None, ...]
+    fs: tuple[float, ...]
 
-    def raw_below(self, i: int, t: float) -> float:
-        """Raw mass below t, read from panel i: the Simpson parabola through
-        the panel's three values, integrated from the panel start to t."""
-        t0 = self.edges[i]
-        h = self.edges[i + 1] - t0
-        f0, fm, f1, mass = self.panels[i]
-        s = min(max((t - t0) / h, 0.0), 1.0)
-        i0 = (2.0 / 3.0) * s ** 3 - 1.5 * s ** 2 + s
-        im = -(4.0 / 3.0) * s ** 3 + 2.0 * s ** 2
-        i1 = (2.0 / 3.0) * s ** 3 - 0.5 * s ** 2
-        val = h * (f0 * i0 + fm * im + f1 * i1)
-        return self.cum[i] + min(max(val, 0.0), mass)
-
-    def cdf(self, i: int, t: float) -> float:
-        """CDF of the limit law at t, with the raw mass rescaled to nu_mass."""
-        raw = self.cum[-1]
-        if raw > 0.0:
-            return self.left + self.nu_mass * self.raw_below(i, t) / raw
-        return self.left
+    def warm(self, x: float) -> complex:
+        """The root at the interior node nearest to x."""
+        j = bisect_left(self.xs, x, 1, len(self.xs) - 1)
+        k = j - 1 if x - self.xs[j - 1] <= self.xs[j] - x else j
+        return self.us[min(max(k, 1), len(self.xs) - 2)]
 
 
-def _refine(f, a, b, fa, fm, fb, whole, tol, depth, out) -> None:
+def _refine(f, a, b, fa, fm, fb, whole, tol, depth) -> float:
     m = 0.5 * (a + b)
     lm, rm = 0.5 * (a + m), 0.5 * (m + b)
     flm, frm = f(lm), f(rm)
     left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
     right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
     if abs(left + right - whole) <= 15.0 * tol or depth >= 22:
-        out.append((a, fa, flm, fm, left))
-        out.append((m, fm, frm, fb, right))
-        return
-    _refine(f, a, m, fa, flm, fm, left, 0.5 * tol, depth + 1, out)
-    _refine(f, m, b, fm, frm, fb, right, 0.5 * tol, depth + 1, out)
+        return left + right
+    return (_refine(f, a, m, fa, flm, fm, left, 0.5 * tol, depth + 1)
+            + _refine(f, m, b, fm, frm, fb, right, 0.5 * tol, depth + 1))
 
 
-def _interval_cdf(p: ModelParams, lo: float, hi: float, nu_mass: float,
-                  left: float) -> _IntervalCdf:
+def _interval_cdf(p: ModelParams, lo: float, hi: float, below: float,
+                  above: float) -> _IntervalCdf:
+    """Table of [lo, hi] with CDF plateaus ``below`` and ``above``: adaptive
+    Simpson in the cosine parameter t of x = lo + (hi - lo)(1 - cos t)/2."""
     half = 0.5 * (hi - lo)
+    roots: dict[float, complex] = {}
     warm = None
 
     def integrand(t: float) -> float:
@@ -273,20 +277,19 @@ def _interval_cdf(p: ModelParams, lo: float, hi: float, nu_mass: float,
         if not (0.0 < t < math.pi and lo < x < hi):
             return 0.0
         warm, _ = _omega(p, complex(x, 0.0), warm)
+        roots[x] = warm
         f = -_g_mu(p, warm).imag / math.pi
         if f < NEGATIVE_DENSITY_FLOOR:
             raise ConvergenceError(f"density solve failed inside [{lo}, {hi}]")
         return max(f, 0.0) * half * math.sin(t)
 
     fa, fm, fb = integrand(0.0), integrand(0.5 * math.pi), integrand(math.pi)
-    panels: list[tuple] = []
-    _refine(integrand, 0.0, math.pi, fa, fm, fb,
-            math.pi * (fa + 4.0 * fm + fb) / 6.0, 1e-6, 0, panels)
+    mass = _refine(integrand, 0.0, math.pi, fa, fm, fb,
+                   math.pi * (fa + 4.0 * fm + fb) / 6.0, 1e-6, 0)
+    xs = sorted(roots)
     return _IntervalCdf(
-        lo=lo, hi=hi, edges=tuple(pn[0] for pn in panels) + (math.pi,),
-        panels=tuple(pn[1:] for pn in panels),
-        cum=tuple(itertools.accumulate((pn[4] for pn in panels), initial=0.0)),
-        nu_mass=nu_mass, left=left)
+        mass=mass, xs=(lo, *xs, hi), us=(None, *(roots[x] for x in xs), None),
+        fs=(below, *(_cdf_at(p, x, roots[x]) for x in xs), above))
 
 
 @functools.lru_cache(maxsize=None)
@@ -297,70 +300,90 @@ def _cdf_data(p: ModelParams) -> tuple[_IntervalCdf, ...]:
     left = 0.0
     for l, (lo, hi) in enumerate(sup.intervals):
         nu_mass = measure.mass_between(p.nu, adm.u[l], adm.v[l])
-        out.append(_interval_cdf(p, lo, hi, nu_mass, left))
+        out.append(_interval_cdf(p, lo, hi, min(left, 1.0), min(left + nu_mass, 1.0)))
         left += nu_mass
     return tuple(out)
 
 
 def interval_masses(p: ModelParams) -> tuple[float, ...]:
-    """Raw quadrature mass of the density over each support interval.
+    """Adaptive Simpson mass of the density over each support interval.
 
-    These are not normalized; comparing them against the nu-mass of the
-    matching [u_l, v_l] interval is the mass-correspondence verification.
+    This quadrature is independent of the closed-form CDF; comparing each
+    mass against the nu-mass of the matching [u_l, v_l] interval is the
+    mass-correspondence verification.
     """
-    return tuple(ic.cum[-1] for ic in _cdf_data(p))
+    return tuple(ic.mass for ic in _cdf_data(p))
 
 
-def cdf_mu(p: ModelParams, x: float) -> float:
-    """CDF of the limit law; each support interval carries its nu-mass.
+def cdf_mu(p: ModelParams, x):
+    """CDF of the limit law at x, a float or elementwise a numpy array.
 
-    The per-interval quadrature is rescaled so interval l carries exactly
-    the mass nu([u_l, v_l]) (the mass-correspondence identity), which pins
-    gap plateaus and the total mass to their exact values.  A NaN x raises
-    DomainError.
+    Off the open support it is the nu-mass of the complement intervals
+    [u_l, v_l] to the left of x (the mass-correspondence identity), so gap
+    plateaus and the total mass are exact.  Inside a support interval it is
+    the closed form ``_cdf_at`` at u = omega(x + i0), solved warm from the
+    last point when the points ascend inside one interval, else from the
+    nearest table node.  A NaN anywhere in x raises DomainError.
     """
-    if math.isnan(x):
-        raise DomainError("cdf_mu is undefined at NaN")
     data = _cdf_data(p)
-    for ic in data:
-        if not x >= ic.hi:
-            break
-    else:
-        return min(ic.left + ic.nu_mass, 1.0)
-    if not x > ic.lo:
-        return min(ic.left, 1.0)
-    half = 0.5 * (ic.hi - ic.lo)
-    t = math.acos(min(max(1.0 - (x - ic.lo) / half, -1.0), 1.0))
-    i = bisect_right(ic.edges, t, 1, len(ic.panels)) - 1  # the panel holding t
-    return min(ic.cdf(i, t), 1.0)
+    out = []
+    last = None  # (x, u) of the last point solved
+    for xk in np.ravel(x).tolist():
+        if math.isnan(xk):
+            raise DomainError("cdf_mu is undefined at NaN")
+        for ic in data:
+            if not xk >= ic.xs[-1]:
+                break
+        else:
+            out.append(ic.fs[-1])
+            continue
+        if not xk > ic.xs[0]:
+            out.append(ic.fs[0])
+            continue
+        warm = last[1] if last and ic.xs[0] < last[0] <= xk else ic.warm(xk)
+        u, _ = _omega(p, complex(xk, 0.0), warm)
+        last = (xk, u)
+        out.append(_cdf_at(p, xk, u))
+    if np.ndim(x) == 0:
+        return out[0]
+    return np.array(out).reshape(np.shape(x))
 
 
 def quantile_mu(p: ModelParams, alpha: float) -> float:
     """Generalized inverse of ``cdf_mu`` for alpha strictly inside (0, 1).
 
-    Reads the CDF table backwards: the interval from the nu-masses, the
-    panel by bisection on the CDF at the panel edges, then a bisection in t
-    inside that panel on the same function ``cdf_mu`` reads.
+    The support interval comes from the nu-masses and the bracket between
+    two adjacent table nodes from bisection on the node CDF values; inside
+    it, Newton on ``cdf_mu`` - alpha with the density as the derivative,
+    kept inside the shrinking bracket (bisection where the density is 0).
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"quantile level must be in (0, 1), got {alpha!r}")
     data = _cdf_data(p)
     for ic in data:
-        if alpha <= ic.left + ic.nu_mass + 1e-15:
+        if alpha <= ic.fs[-1] + 1e-15:
             break
     else:
-        return data[-1].hi
-    i = bisect_left(range(len(ic.panels) - 1), True,
-                    key=lambda j: ic.cdf(j, ic.edges[j + 1]) >= alpha)
-    a, b = ic.edges[i], ic.edges[i + 1]
-    mid = 0.5 * (a + b)
-    while a < mid < b:
-        if ic.cdf(i, mid) >= alpha:
-            b = mid
-        else:
-            a = mid
-        mid = 0.5 * (a + b)
-    return ic.lo + 0.5 * (ic.hi - ic.lo) * (1.0 - math.cos(mid))
+        return data[-1].xs[-1]
+    j = bisect_left(ic.fs, alpha)  # ic.fs[j - 1] < alpha <= ic.fs[j]
+    if j == len(ic.fs) or ic.fs[j] == alpha:
+        return ic.xs[min(j, len(ic.xs) - 1)]
+    a, b = ic.xs[j - 1], ic.xs[j]
+    x_last, u = None, ic.us[j - 1] or ic.us[j]
+
+    def solve(x: float) -> complex:
+        nonlocal x_last, u
+        if x != x_last:
+            u, _ = _omega(p, complex(x, 0.0), u)
+            x_last = x
+        return u
+
+    def f(x: float) -> float:
+        return ic.fs[j - 1] - alpha if x <= a else _cdf_at(p, x, solve(x)) - alpha
+
+    return subordination._bracketed_root(
+        f, a, b, 1e-15 * (1.0 + abs(b)),
+        lambda x: -_g_mu(p, solve(x)).imag / math.pi)
 
 
 def h_residual(p: ModelParams, x: float) -> float:

@@ -174,7 +174,8 @@ def _require_positive_sigma(p: ModelParams) -> None:
 
 def _bracketed_root(f, a: float, b: float, xtol: float, fprime=None) -> float:
     """Root of f in [a, b], where f changes sign, to within xtol: bisection,
-    or with ``fprime`` Newton steps, each kept inside the shrinking bracket."""
+    or with ``fprime`` Newton steps, each kept inside the shrinking bracket
+    (a bisection step where fprime is 0)."""
     fa = f(a)
     x = 0.5 * (a + b)
     for _ in range(200):
@@ -183,7 +184,8 @@ def _bracketed_root(f, a: float, b: float, xtol: float, fprime=None) -> float:
             a, fa = x, fx
         else:
             b = x
-        nxt = 0.5 * (a + b) if fprime is None else x - fx / fprime(x)
+        d = 0.0 if fprime is None else fprime(x)
+        nxt = x - fx / d if d else 0.5 * (a + b)
         if abs(nxt - x) <= xtol:
             return nxt
         x = nxt if a < nxt < b else 0.5 * (a + b)
@@ -309,49 +311,30 @@ def _positive_pieces(p: ModelParams, lo: float, hi: float,
 def g_threshold_crossing(p: ModelParams, gap: tuple[float, float]) -> float | None:
     """Unique solution of g_nu(u) = -1/(sigma^2 c) inside a gap of supp(nu).
 
-    ``gap`` may have infinite endpoints.  Returns None when the condition
-    g_nu > -1/(sigma^2 c) holds on the whole gap (always the case on the
-    unbounded right gap).  When the crossing hugs the gap's right endpoint
-    closer than the support-membership guard (possible next to a segment,
-    where g diverges only logarithmically), the guard point itself is
-    returned: the condition is non-binding on the resolvable part of the
-    gap.
+    ``gap`` may have infinite endpoints.  Returns None on the unbounded right
+    gap, where g_nu > -1/(sigma^2 c) holds throughout.  g_nu decreases
+    strictly on a gap, so it is compared at the two guard points (the
+    support-membership guard inside each finite end, the scan window's end
+    on the unbounded left gap): when the crossing lies beyond one of them
+    (possible next to a segment, where g diverges only logarithmically),
+    that guard point itself is returned, since the condition is settled on
+    the resolvable part of the gap.
     """
     _require_positive_sigma(p)
     gap_lo, gap_hi = gap
     thr = -1.0 / (p.sigma ** 2 * p.c)
     if math.isinf(gap_hi):
         return None
-    win_lo, win_hi = _window(p, gap_lo, gap_hi, thr)
-    width = win_hi - win_lo
-    guard_hi = _endpoint_guard(gap_hi)
-    f = lambda u: measure.g_nu(p.nu, u) - thr
-
-    right = None
-    d = 0.5 * width
-    while d > guard_hi:
-        x = gap_hi - d
-        if x > win_lo and f(x) < 0.0:
-            right = x
-            break
-        d *= 0.5
-    if right is None:
-        return gap_hi - guard_hi
-    left = None
     if math.isinf(gap_lo):
-        if f(win_lo) > 0.0:
-            left = win_lo
+        left = _window(p, gap_lo, gap_hi, thr)[0]
     else:
-        guard_lo = _endpoint_guard(gap_lo)
-        d = 0.5 * width
-        while d > guard_lo:
-            x = gap_lo + d
-            if x < right and f(x) > 0.0:
-                left = x
-                break
-            d *= 0.5
-    if left is None:
-        raise ConvergenceError("could not bracket the g-threshold from the left")
+        left = gap_lo + _endpoint_guard(gap_lo)
+    right = gap_hi - _endpoint_guard(gap_hi)
+    f = lambda u: measure.g_nu(p.nu, u) - thr
+    if f(right) >= 0.0:
+        return right
+    if f(left) <= 0.0:
+        return left
     return _bracketed_root(f, left, right, BOUNDARY_XTOL * 0.1,
                            lambda u: measure.g_nu_prime(p.nu, u))
 

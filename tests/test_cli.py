@@ -280,10 +280,7 @@ def test_spike_ranks_agree_across_commands(tmp_path):
                    if c["name"] == "outlier")
     from_verify = [row["rank"] for row in outlier["spikes"]]
 
-    entries = spikes.predicted_spectrum_summary(MODEL_D1_C1, spec, 200)
-    from_summary = [rng[0] for rng, _ in entries if rng[1] is not None]
-
-    assert from_spikes == from_verify == from_summary == expected
+    assert from_spikes == from_verify == expected
 
 
 def test_timestamp_present_by_default(tmp_path):

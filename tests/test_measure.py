@@ -129,6 +129,22 @@ def test_g_prime_uniform_against_finite_difference():
     assert val == pytest.approx(-0.125, abs=1e-12)
 
 
+def test_log_potential_derivative_is_g():
+    m = MeasureSpec(atoms=((0.3, 0.5),), segments=((0.7, 1.0, 3.0),))
+    h = 1e-6
+    for z in (complex(2.0, 0.3), complex(-1.0, 1e-3), complex(7.0, 2.0)):
+        fd = (measure.log_potential(m, z + h) - measure.log_potential(m, z - h)) / (2 * h)
+        assert abs(fd - measure.g_nu(m, z)) <= 1e-7 * abs(measure.g_nu(m, z))
+
+
+def test_log_potential_segment_against_quadrature():
+    z = complex(2.0, 0.25)
+    re, _ = quad(lambda t: 0.5 * math.log(abs(z - t)), 1.0, 3.0, epsabs=1e-13)
+    im, _ = quad(lambda t: 0.5 * math.atan2(z.imag, z.real - t), 1.0, 3.0,
+                 epsabs=1e-13)
+    assert abs(measure.log_potential(UNIFORM_13, z) - complex(re, im)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Support
 # ---------------------------------------------------------------------------

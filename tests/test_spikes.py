@@ -1,4 +1,4 @@
-"""Tests for spike classification and predicted spectrum summaries."""
+"""Tests for spike classification, limits and ranks."""
 
 from __future__ import annotations
 
@@ -77,6 +77,16 @@ def test_quantile_case():
         out.alpha, abs=1e-4)
 
 
+def test_quantile_limit_against_density_quadrature():
+    from scipy.integrate import quad
+
+    out = spikes.classify(MODEL_MERGED, SpikeSpec((3.0,), (1,)))[0]
+    lo = subordination.support(MODEL_MERGED).intervals[0][0]
+    mass = quad(lambda t: stieltjes.density(MODEL_MERGED, [t]).fs[0], lo,
+                out.limit, limit=200, epsabs=1e-13, epsrel=1e-13)[0]
+    assert abs(mass - 0.5) <= 1e-10
+
+
 def test_spike_on_support_rejected():
     with pytest.raises(DomainError):
         spikes.classify(MODEL_D1_C1, SpikeSpec((1.0,), (1,)))
@@ -98,39 +108,12 @@ def test_outlier_limits_outside_support_and_monotone():
     assert limits[0] > limits[1] > limits[2]
 
 
-def test_predicted_summary_with_outlier():
-    entries = spikes.predicted_spectrum_summary(
-        MODEL_D1_C1, SpikeSpec((4.0,), (1,)), n=1000)
-    assert entries[0] == ((1, 1), pytest.approx(64.0 / 9.0))
-    assert entries[1][0] == (2, None)
-    assert entries[1][1] == pytest.approx(6.75, abs=1e-8)
-    assert entries[-1][0] == (1000, None)
-    assert entries[-1][1] == pytest.approx(0.0, abs=1e-9)
-
-
-def test_predicted_summary_without_spikes():
-    entries = spikes.predicted_spectrum_summary(MODEL_D1_C1, SpikeSpec(), n=200)
-    assert entries[0][0] == (1, None)
-    assert entries[0][1] == pytest.approx(6.75, abs=1e-8)
-    assert entries[1][0] == (200, None)
-    assert entries[1][1] == pytest.approx(0.0, abs=1e-9)
-
-
-def test_predicted_summary_interleaved_rank():
-    # a sticking spike below the bulk of nu gets ranked after the signal
-    # eigenvalues that exceed it
-    entries = spikes.predicted_spectrum_summary(
-        MODEL_SPLIT, SpikeSpec((4.0,), (1,)), n=8)
-    # signal eigenvalues are theta=4 plus quantiles (1,1,1,1,5,5,5); the
-    # three 5s outrank the spike, so its packet starts at rank 4
-    packets = [e for e in entries if e[0][1] is not None]
-    assert packets == [((4, 4), subordination.support(MODEL_SPLIT).intervals[1][0])]
-
-
-def test_summary_requires_capacity():
+def test_spike_ranks_interleave_and_need_capacity():
+    # signal eigenvalues are theta = 4 plus the quantiles (1, 1, 1, 1, 5, 5, 5)
+    # of nu; the three 5s outrank the spike, so its packet starts at rank 4
+    assert spikes.spike_ranks(MODEL_SPLIT, SpikeSpec((4.0,), (1,)), 8) == [4]
     with pytest.raises(DomainError):
-        spikes.predicted_spectrum_summary(MODEL_D1_C1, SpikeSpec((4.0,), (2,)),
-                                          n=1)
+        spikes.spike_ranks(MODEL_D1_C1, SpikeSpec((4.0,), (2,)), 1)
 
 
 @pytest.mark.parametrize("p, n, N, theta, case, limit, rank", [

@@ -33,6 +33,16 @@ def test_solve_g_near_real_axis_closed_form():
     assert sol.residual <= 1e-12
 
 
+def test_solve_g_accepts_the_rounding_floor_at_large_g():
+    # near the hard edge at sigma = 0.05, |g| is about 6e3 and the absolute
+    # fixed-point residual cannot go below about 1e-11
+    p = ModelParams(sigma=0.05, c=1.0,
+                    nu=MeasureSpec(atoms=((0.3, 0.0), (0.7, 3.0))))
+    sol = stieltjes.solve_g(p, complex(2.998e-6, 1e-9))
+    assert abs(sol.g) > 1e3 and sol.g.imag < 0.0
+    assert sol.residual <= 1e-12 * abs(sol.g)
+
+
 def test_solve_g_subordination_consistency():
     # 1 - s^2 c g(x) = 1 / (1 + s^2 c g_nu(omega(x))) off the support
     p = MODEL_D2_HALF
@@ -202,6 +212,50 @@ def test_quantile_cdf_round_trip():
     # a level on a gap plateau maps to the upper edge below the gap
     hi0 = subordination.support(MODEL_SPLIT).intervals[0][1]
     assert stieltjes.quantile_mu(MODEL_SPLIT, 0.5) == pytest.approx(hi0, abs=1e-9)
+
+
+@pytest.mark.parametrize("p", ALL_MODELS)
+def test_cdf_matches_density_quadrature(p):
+    # adaptive quadrature of the density down from the upper edge (the grid
+    # may not enter the hard edge at zero) is independent of the closed form
+    from scipy.integrate import quad
+
+    f = lambda t: stieltjes.density(p, [t]).fs[0]
+    for lo, hi in subordination.support(p).intervals:
+        above = stieltjes.cdf_mu(p, hi)
+        for frac in (0.1, 0.5, 0.9):
+            x = lo + frac * (hi - lo)
+            ref = above - quad(f, x, hi, limit=200, epsabs=1e-14, epsrel=1e-14)[0]
+            assert abs(stieltjes.cdf_mu(p, x) - ref) <= 1e-12
+
+
+def test_cdf_matches_marchenko_pastur_quadrature():
+    from scipy.integrate import quad
+
+    for c in (0.5, 1.0):
+        p = ModelParams(sigma=1.0, c=c, nu=MeasureSpec.point_mass(1e-9))
+        lo, hi = measure.mp_edges(c, 1.0)
+        xs = [lo + f * (hi - lo) for f in (0.05, 0.5, 0.95)]
+        xs += [stieltjes.quantile_mu(p, a) for a in (0.01, 0.3, 0.7, 0.99)]
+        for x in xs:
+            ref = quad(lambda t: measure.mp_density(c, 1.0, t), lo, x,
+                       limit=200, epsabs=1e-13, epsrel=1e-13)[0]
+            assert abs(stieltjes.cdf_mu(p, x) - ref) <= 1e-8, (c, x)
+
+
+def test_cdf_array_reads_match_scalar_reads():
+    for p in ALL_MODELS:
+        sup = subordination.support(p)
+        lo, hi = sup.intervals[0][0] - 0.5, sup.intervals[-1][1] + 0.5
+        xs = np.concatenate([np.linspace(lo, hi, 97), [hi, lo, -np.inf, np.inf]])
+        xs = np.concatenate([xs, np.random.default_rng(3).permutation(xs)])
+        for x in (xs, np.sort(xs), xs.reshape(2, -1)):
+            got = stieltjes.cdf_mu(p, x)
+            assert got.shape == x.shape
+            want = [stieltjes.cdf_mu(p, float(v)) for v in x.ravel()]
+            assert np.max(np.abs(got.ravel() - want)) <= 1e-13
+    with pytest.raises(DomainError):
+        stieltjes.cdf_mu(MODEL_SPLIT, np.array([1.0, math.nan, 3.0]))
 
 
 def test_quantile_level_validation():

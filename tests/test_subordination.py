@@ -129,6 +129,20 @@ def test_g_condition_boundary_point_mass():
     assert adm.v[0] > 2.0
 
 
+def test_g_threshold_crossing_beyond_the_left_guard():
+    # next to the segment end at 3 g_nu diverges only logarithmically, so the
+    # crossing in the gap (3, 3.5) lies within about 1e-150 of 3: the left
+    # guard point stands for it, and the gap has no admissible part
+    nu = MeasureSpec(atoms=((0.99, 3.5),), segments=((0.01, 1.0, 3.0),))
+    p = ModelParams(sigma=2.0, c=1.0, nu=nu)
+    crossing = subordination.g_threshold_crossing(p, (3.0, 3.5))
+    assert 3.0 < crossing <= 3.0 + 1e-10
+    assert measure.g_nu(nu, crossing) < -1.0 / (p.sigma ** 2 * p.c)
+    adm = subordination.admissible_set(p)
+    assert adm.p == 1 and adm.u[0] < 1.0 and adm.v[0] > 3.5
+    assert len(subordination.support(p).intervals) == 1
+
+
 def test_admissible_set_shrinks_onto_support_at_small_sigma():
     p = ModelParams(sigma=1e-4, c=0.5, nu=TWO_ATOMS)
     adm = subordination.admissible_set(p)
