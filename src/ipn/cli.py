@@ -19,7 +19,6 @@ import numpy as np
 
 from . import simulate, spikes as spikes_mod, stieltjes, subordination
 from .errors import AmbiguousSpike, ConvergenceError, DomainError, PreconditionError
-from .measure import MeasureSpec
 from .simulate import SimConfig, verify_all
 from .spikes import SpikeSpec
 from .subordination import ModelParams
@@ -70,8 +69,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     for key in ("sigma", "c", "nu"):
         if key not in model_cfg:
             raise ValueError(f"model field {key!r} missing (use --{key} or a config file)")
-    model = ModelParams(sigma=model_cfg["sigma"], c=model_cfg["c"],
-                        nu=MeasureSpec.from_dict(model_cfg["nu"]))
+    model = ModelParams.from_dict(model_cfg)
 
     spikes_cfg = cfg.get("spikes", {})
     thetas = getattr(args, "theta", None)

@@ -110,14 +110,6 @@ class InclusionReport:
     def all_pass(self) -> bool:
         return all(self.trials_passed)
 
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "offenders": [list(o) for o in self.offenders],
-            "trials_passed": list(self.trials_passed),
-            "pass_fraction": self.pass_fraction,
-        }
-
 
 def build_A(model: ModelParams, spikes: SpikeSpec, n: int, N: int) -> np.ndarray:
     """Diagonal entries of the n x N signal matrix: square roots of

@@ -37,6 +37,10 @@ NEGATIVE_DENSITY_FLOOR = -1e-6
 #: the limit law may have its hard edge.
 ZERO_GUARD = 1e-6
 
+#: Fixed-point residual |F(g) - g| that ``solve_g`` aims for; it accepts up
+#: to RESIDUAL_TOL max(1, |g|).
+RESIDUAL_TOL = 1e-12
+
 #: Newton steps allowed per continuation stage, and stage splits per solve.
 _NEWTON_STEPS = 40
 _MAX_SPLITS = 60
@@ -59,8 +63,8 @@ class GSolution:
 
 @dataclass(frozen=True)
 class DensityGrid:
-    """Density values on an ordered grid; NaN marks points that failed to
-    solve.  ``eps_used`` is the distance from the real axis, always 0.0."""
+    """Density values on an ordered grid, each finite and nonnegative.
+    ``eps_used`` is the distance from the real axis, always 0.0."""
 
     xs: tuple[float, ...]
     fs: tuple[float, ...]
@@ -136,14 +140,15 @@ def _omega(p: ModelParams, z: complex, warm: complex | None = None
     return u, steps
 
 
-def solve_g(p: ModelParams, z: complex, tol: float = 1e-12) -> GSolution:
+def solve_g(p: ModelParams, z: complex) -> GSolution:
     """Solve for the transform g at z in the upper half plane.
 
     Finds u = omega(z) by Newton continuation (see ``_omega``) and returns
     g = g_nu(u) / (1 + s^2 c g_nu(u)), after up to three more Newton steps
-    while |F(g) - g| > tol.  Raises ConvergenceError unless
-    |F(g) - g| <= tol max(1, |g|) (the rounding floor grows with |g|) and g
-    satisfies the half-plane sign constraints Im g < 0 and Im(z g) <= 0.
+    while |F(g) - g| > RESIDUAL_TOL.  Raises ConvergenceError unless
+    |F(g) - g| <= RESIDUAL_TOL max(1, |g|) (the rounding floor grows with
+    |g|) and g satisfies the half-plane sign constraints Im g < 0 and
+    Im(z g) <= 0.
     """
     z = complex(z)
     if z.imag <= 0.0:
@@ -155,11 +160,11 @@ def solve_g(p: ModelParams, z: complex, tol: float = 1e-12) -> GSolution:
     for k in range(4):  # at the rounding floor Newton steps dither around u
         g = _g_mu(p, u)
         r = abs(_fp_map(p, z, g) - g)
-        if r <= tol or k == 3:
+        if r <= RESIDUAL_TOL or k == 3:
             break
         u -= (subordination.phi(p, u) - z) / subordination.phi_prime(p, u)
     steps += k
-    if not (r <= tol * max(1.0, abs(g)) and g.imag < 0.0):
+    if not (r <= RESIDUAL_TOL * max(1.0, abs(g)) and g.imag < 0.0):
         raise ConvergenceError(f"no solution at z={z!r}: residual {r!r}, g={g!r}")
     if (z * g).imag > 1e-12 * max(1.0, abs(z * g)):
         raise ConvergenceError(f"solution at z={z!r} violates Im(z g) <= 0")
@@ -172,15 +177,27 @@ def near_zero(p: ModelParams, x):
     return (p.c == 1.0) & (np.abs(x) < ZERO_GUARD)
 
 
+def _density_at(p: ModelParams, x: float, warm: complex | None
+                ) -> tuple[float, complex]:
+    """Density -Im g(x) / pi at x strictly inside the support, and the root
+    u = omega(x + i0) it came from, solved warm from ``warm``.  Values in
+    [NEGATIVE_DENSITY_FLOOR, 0) clamp to zero; a lower value or NaN raises
+    ConvergenceError, as does a failed solve."""
+    u, _ = _omega(p, complex(x, 0.0), warm)
+    f = -_g_mu(p, u).imag / math.pi
+    if not f >= NEGATIVE_DENSITY_FLOOR:
+        raise ConvergenceError(f"density solve failed at x={x!r}: {f!r}")
+    return max(f, 0.0), u
+
+
 def density(p: ModelParams, xs) -> DensityGrid:
     """Density of the limit law on an ordered grid, -Im g(x) / pi.
 
     g is solved on the real axis itself, each point warm-started from the
-    last.  Values in [-1e-6, 0) clamp to zero; anything below that, or a
-    failed solve, marks the point invalid (NaN) instead of failing the whole
-    grid.  Points not strictly inside a support interval (the edges and the
-    gaps) get exactly zero without a solve.  The grid must stay within a
-    bounding box around the computed support and outside ``near_zero``.
+    last (see ``_density_at``); a point that fails raises ConvergenceError.
+    Points not strictly inside a support interval (the edges and the gaps)
+    get exactly zero without a solve.  The grid must stay within a bounding
+    box around the computed support and outside ``near_zero``.
     """
     sup = subordination.support(p)
     xs = [float(x) for x in xs]
@@ -201,12 +218,8 @@ def density(p: ModelParams, xs) -> DensityGrid:
         if not any(a < x < b for a, b in sup.intervals):
             fs.append(0.0)
             continue
-        try:
-            warm, _ = _omega(p, complex(x, 0.0), warm)
-            f = -_g_mu(p, warm).imag / math.pi
-        except ConvergenceError:
-            f = math.nan
-        fs.append(max(f, 0.0) if f >= NEGATIVE_DENSITY_FLOOR else math.nan)
+        f, warm = _density_at(p, x, warm)
+        fs.append(f)
     return DensityGrid(xs=tuple(xs), fs=tuple(fs), eps_used=0.0)
 
 
@@ -276,12 +289,9 @@ def _interval_cdf(p: ModelParams, lo: float, hi: float, below: float,
         x = lo + half * (1.0 - math.cos(t))
         if not (0.0 < t < math.pi and lo < x < hi):
             return 0.0
-        warm, _ = _omega(p, complex(x, 0.0), warm)
+        f, warm = _density_at(p, x, warm)
         roots[x] = warm
-        f = -_g_mu(p, warm).imag / math.pi
-        if f < NEGATIVE_DENSITY_FLOOR:
-            raise ConvergenceError(f"density solve failed inside [{lo}, {hi}]")
-        return max(f, 0.0) * half * math.sin(t)
+        return f * half * math.sin(t)
 
     fa, fm, fb = integrand(0.0), integrand(0.5 * math.pi), integrand(math.pi)
     mass = _refine(integrand, 0.0, math.pi, fa, fm, fb,

@@ -13,6 +13,16 @@ intervals whose complement [u_1,v_1], ..., [u_p,v_p] covers supp(nu); the
 support of the limit law is the image of those complement intervals under
 ``phi``.  Each boundary lies in a gap of supp(nu), so ``phi`` is analytic
 there and the support edges are phi(u_l) and phi(v_l).
+
+No step searches for a bracket.  With [m, M] the hull of supp(nu), which
+lies in [0, inf), and r = sigma (1 + sqrt(c)), Weyl's inequality for
+singular values puts the support in [(sqrt(m) - r)_+^2, (sqrt(M) + r)^2],
+and two facts turn that into closed-form brackets on the unbounded gaps:
+
+* (F1) phi(u) > u for u > M, since g_nu(u) > 0 there;
+* (F2) phi(u) <= u + sigma^2 (1+c) for u < m wherever
+  a = 1 + sigma^2 c g_nu(u) >= 0: there a <= 1, so u a^2 <= u for u >= 0,
+  and u a^2 <= u + 2 sigma^2 c for u < 0, where 0 < u g_nu(u) <= 1.
 """
 
 from __future__ import annotations
@@ -36,7 +46,6 @@ PHI_PRIME_FLOOR = 1e-12
 BOUNDARY_XTOL = 1e-11
 
 _SCAN_POINTS = 4096
-_SCAN_POINTS_MAX = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -198,45 +207,24 @@ def _bracketed_root(f, a: float, b: float, xtol: float, fprime=None) -> float:
 # Admissible-set isolation
 # ---------------------------------------------------------------------------
 
-def _condition_holds(p: ModelParams, x: float, thr: float) -> bool:
-    return (measure.g_nu(p.nu, x) > thr
-            and phi_prime(p, x) > PHI_PRIME_FLOOR)
-
-
-def _window(p: ModelParams, gap_lo: float, gap_hi: float,
-            thr: float) -> tuple[float, float]:
-    """Finite scan window for a gap, extended until unbounded tails are good.
-
-    The admissible set contains a neighborhood of -inf and +inf, so doubling
-    the window until both the edge and a geometric tail of probe points
-    satisfy the defining conditions is guaranteed to terminate.
+def _window(p: ModelParams, gap_lo: float, gap_hi: float) -> tuple[float, float]:
+    """Finite scan window for a gap of supp(nu): a finite end moved in by
+    the support-membership guard, an unbounded end replaced by a closed-form
+    bound beyond the outermost admissible-set boundary (see the module
+    docstring for m, M, r, F1 and F2).
     """
-    s = p.sigma
-    pad = 1.0 + 4.0 * s * s * (1.0 + math.sqrt(p.c)) ** 2
+    s2 = p.sigma ** 2
+    r = p.sigma * (1.0 + math.sqrt(p.c))
     if math.isinf(gap_lo):
-        lo = gap_hi - pad
-        for _ in range(200):
-            probes = [lo - k * max(1.0, abs(lo)) for k in (0.0, 1.0, 3.0, 7.0)]
-            if all(_condition_holds(p, q, thr) for q in probes):
-                break
-            lo = gap_hi - 2.0 * (gap_hi - lo)
-        else:
-            raise ConvergenceError("could not bound the admissible set on the left")
+        # u_1 >= phi(u_1) - s^2 (1+c) >= (sqrt(m) - r)_+^2 - s^2 (1+c) by (F2)
+        lo = max(math.sqrt(gap_hi) - r, 0.0) ** 2 - s2 * (1.0 + p.c) - 1.0
     else:
-        lo = gap_lo
+        lo = gap_lo + _endpoint_guard(gap_lo)
     if math.isinf(gap_hi):
-        base = max(gap_lo, 0.0)
-        hi = (math.sqrt(base) + s * (1.0 + math.sqrt(p.c))) ** 2 + pad
-        hi = max(hi, gap_lo + 1.0)
-        for _ in range(200):
-            probes = [hi + k * max(1.0, abs(hi)) for k in (0.0, 1.0, 3.0, 7.0)]
-            if all(_condition_holds(p, q, thr) for q in probes):
-                break
-            hi = gap_lo + 2.0 * (hi - gap_lo)
-        else:
-            raise ConvergenceError("could not bound the admissible set on the right")
+        # v_p < phi(v_p) <= (sqrt(M) + r)^2 by (F1)
+        hi = (math.sqrt(gap_lo) + r) ** 2 + 1.0 + 4.0 * r * r
     else:
-        hi = gap_hi
+        hi = gap_hi - _endpoint_guard(gap_hi)
     return lo, hi
 
 
@@ -245,45 +233,35 @@ def _endpoint_guard(x: float) -> float:
     return 4.0 * measure.ATOL * max(1.0, abs(x))
 
 
-def _sample_points(lo: float, hi: float, cluster_lo: bool, cluster_hi: bool,
-                   npts: int) -> np.ndarray:
+def _sample_points(lo: float, hi: float, cluster_lo: bool,
+                   cluster_hi: bool) -> np.ndarray:
     """Uniform grid plus geometric clusters toward finite gap endpoints.
 
     The clusters catch the sign dives of phi' next to supp(nu), which a
-    uniform grid misses when sigma is small.  Points are kept outside the
-    support-membership guard zone so every sample is safely evaluable.
+    uniform grid misses when sigma is small.  Only points strictly inside
+    (lo, hi) are kept.
     """
     width = hi - lo
-    pts = [np.linspace(lo, hi, npts)]
+    pts = [np.linspace(lo, hi, _SCAN_POINTS)]
     ks = 0.5 ** np.arange(1, 54)
     if cluster_lo:
         pts.append(lo + width * ks)
     if cluster_hi:
         pts.append(hi - width * ks)
     xs = np.unique(np.concatenate(pts))
-    guard_lo = _endpoint_guard(lo) if cluster_lo else 0.0
-    guard_hi = _endpoint_guard(hi) if cluster_hi else 0.0
-    return xs[(xs > lo + guard_lo) & (xs < hi - guard_hi)]
+    return xs[(xs > lo) & (xs < hi)]
 
 
 def _phi_prime_marks(p: ModelParams, xs: np.ndarray) -> list[float]:
     """Zeros of phi' bracketed by sign changes over the sample points,
-    bisected to BOUNDARY_XTOL / 10."""
+    bisected to BOUNDARY_XTOL / 10.  Points where |phi'| <= PHI_PRIME_FLOOR
+    are skipped: bisection between their nonzero neighbours finds the zero."""
     vals = phi_prime(p, xs)
-    signs = np.zeros(len(xs), dtype=int)
-    signs[vals > PHI_PRIME_FLOOR] = 1
-    signs[vals < -PHI_PRIME_FLOOR] = -1
-    marks: list[float] = []
-    prev_idx = None
-    for i, s in enumerate(signs):
-        if s == 0:
-            marks.append(float(xs[i]))
-            continue
-        if prev_idx is not None and signs[prev_idx] == -s:
-            marks.append(_bracketed_root(lambda u: phi_prime(p, u), float(xs[prev_idx]),
-                                         float(xs[i]), BOUNDARY_XTOL * 0.1))
-        prev_idx = i
-    return sorted(marks)
+    keep = np.abs(vals) > PHI_PRIME_FLOOR
+    xs, pos = xs[keep], vals[keep] > 0.0
+    return [_bracketed_root(lambda u: phi_prime(p, u), float(xs[i]), float(xs[i + 1]),
+                            BOUNDARY_XTOL * 0.1)
+            for i in np.flatnonzero(pos[1:] != pos[:-1])]
 
 
 def _positive_pieces(p: ModelParams, lo: float, hi: float,
@@ -298,27 +276,20 @@ def _positive_pieces(p: ModelParams, lo: float, hi: float,
             a_out = -math.inf if (open_lo and a == lo) else a
             b_out = math.inf if (open_hi and b == hi) else b
             pieces.append((a_out, b_out))
-    merged: list[list[float]] = []
-    for a, b in pieces:
-        if merged and a == merged[-1][1]:
-            # adjacent pieces separated only by a grid-point mark
-            merged[-1][1] = b
-        else:
-            merged.append([a, b])
-    return [(a, b) for a, b in merged]
+    return pieces
 
 
 def g_threshold_crossing(p: ModelParams, gap: tuple[float, float]) -> float | None:
     """Unique solution of g_nu(u) = -1/(sigma^2 c) inside a gap of supp(nu).
 
     ``gap`` may have infinite endpoints.  Returns None on the unbounded right
-    gap, where g_nu > -1/(sigma^2 c) holds throughout.  g_nu decreases
+    gap, where g_nu > 0 > -1/(sigma^2 c) holds throughout.  g_nu decreases
     strictly on a gap, so it is compared at the two guard points (the
-    support-membership guard inside each finite end, the scan window's end
-    on the unbounded left gap): when the crossing lies beyond one of them
-    (possible next to a segment, where g diverges only logarithmically),
-    that guard point itself is returned, since the condition is settled on
-    the resolvable part of the gap.
+    support-membership guard inside each finite end, -sigma^2 c - 1 on the
+    unbounded left gap, where the crossing cannot lie): when the crossing
+    lies beyond one of them (possible next to a segment, where g diverges
+    only logarithmically), that guard point itself is returned, since the
+    condition is settled on the resolvable part of the gap.
     """
     _require_positive_sigma(p)
     gap_lo, gap_hi = gap
@@ -326,7 +297,7 @@ def g_threshold_crossing(p: ModelParams, gap: tuple[float, float]) -> float | No
     if math.isinf(gap_hi):
         return None
     if math.isinf(gap_lo):
-        left = _window(p, gap_lo, gap_hi, thr)[0]
+        left = -p.sigma ** 2 * p.c - 1.0  # here g_nu >= 1/left > thr, as u g_nu(u) <= 1
     else:
         left = gap_lo + _endpoint_guard(gap_lo)
     right = gap_hi - _endpoint_guard(gap_hi)
@@ -337,16 +308,6 @@ def g_threshold_crossing(p: ModelParams, gap: tuple[float, float]) -> float | No
         return left
     return _bracketed_root(f, left, right, BOUNDARY_XTOL * 0.1,
                            lambda u: measure.g_nu_prime(p.nu, u))
-
-
-def _intersect(pieces: list[tuple[float, float]],
-               lo: float, hi: float) -> list[tuple[float, float]]:
-    out = []
-    for a, b in pieces:
-        a2, b2 = max(a, lo), min(b, hi)
-        if a2 < b2:
-            out.append((a2, b2))
-    return out
 
 
 def _drop_slivers(pieces: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -368,63 +329,46 @@ def _drop_slivers(pieces: list[tuple[float, float]]) -> list[tuple[float, float]
     return out
 
 
-def _scan_gap(p: ModelParams, gap_lo: float, gap_hi: float,
-              thr: float) -> list[tuple[float, float]]:
+def _scan_gap(p: ModelParams, gap_lo: float,
+              gap_hi: float) -> list[tuple[float, float]]:
     """Admissible subintervals of one gap of supp(nu)."""
-    win_lo, win_hi = _window(p, gap_lo, gap_hi, thr)
+    win_lo, win_hi = _window(p, gap_lo, gap_hi)
     crossing = g_threshold_crossing(p, (gap_lo, gap_hi))
     g_hi = math.inf if crossing is None else crossing
-    npts = _SCAN_POINTS
-    while npts <= _SCAN_POINTS_MAX:
-        xs = _sample_points(win_lo, win_hi,
-                            cluster_lo=not math.isinf(gap_lo),
-                            cluster_hi=not math.isinf(gap_hi),
-                            npts=npts)
-        pieces = _positive_pieces(p, win_lo, win_hi, _phi_prime_marks(p, xs),
-                                  open_lo=math.isinf(gap_lo),
-                                  open_hi=math.isinf(gap_hi))
-        good = _drop_slivers(_intersect(pieces, -math.inf, g_hi))
-        if _gap_structure_ok(good, gap_lo, gap_hi):
-            return good
-        npts *= 2
-    raise ConvergenceError(
-        f"sign pattern in gap ({gap_lo}, {gap_hi}) unresolved at "
-        f"{_SCAN_POINTS_MAX} points")
-
-
-def _gap_structure_ok(good: list[tuple[float, float]],
-                      gap_lo: float, gap_hi: float) -> bool:
-    # canonical structure: at most one admissible interval per bounded gap,
-    # exactly one unbounded interval per unbounded gap
-    if math.isinf(gap_lo) or math.isinf(gap_hi):
-        if len(good) != 1:
-            return False
-        a, b = good[0]
-        if math.isinf(gap_lo) and not math.isinf(a):
-            return False
-        if math.isinf(gap_hi) and not math.isinf(b):
-            return False
-        return True
-    return len(good) <= 1
+    xs = _sample_points(win_lo, win_hi, cluster_lo=not math.isinf(gap_lo),
+                        cluster_hi=not math.isinf(gap_hi))
+    pieces = _positive_pieces(p, win_lo, win_hi, _phi_prime_marks(p, xs),
+                              open_lo=math.isinf(gap_lo),
+                              open_hi=math.isinf(gap_hi))
+    good = _drop_slivers([(a, min(b, g_hi)) for a, b in pieces if a < g_hi])
+    # canonical form: at most one admissible interval in a bounded gap, and
+    # in an unbounded gap exactly one, unbounded on the same side
+    unbounded = [math.isinf(gap_lo), math.isinf(gap_hi)]
+    shapes = [[math.isinf(a), math.isinf(b)] for a, b in good]
+    if shapes != [unbounded] and (any(unbounded) or len(good) > 1):
+        raise ConvergenceError(
+            f"sign pattern in gap ({gap_lo}, {gap_hi}) unresolved at "
+            f"{_SCAN_POINTS} points")
+    return good
 
 
 @functools.lru_cache(maxsize=None)
 def admissible_set(p: ModelParams) -> AdmissibleSet:
     """Admissible set of the model, computed once per ModelParams.
 
-    Each gap of supp(nu) is scanned on a uniform-plus-endpoint-clustered grid
-    (4096 points, doubled adaptively on unresolved sign patterns), sign
-    changes of phi' and the single crossing of g_nu with -1/(sigma^2 c) are
-    bracketed, and boundaries are refined inside their brackets (bisection
-    on phi', Newton on g_nu) to absolute 1e-11.  Raises ConvergenceError if
-    a gap stays unresolved at 2^16 points.
+    Each gap of supp(nu) is scanned once on a uniform-plus-endpoint-clustered
+    grid of 4096 points; an unbounded gap is cut to the window that
+    ``_window`` proves holds its boundary.  Sign changes of phi' and the
+    single crossing of g_nu with -1/(sigma^2 c) are bracketed, and
+    boundaries are refined inside their brackets (bisection on phi', Newton
+    on g_nu) to absolute 1e-11.  Raises ConvergenceError if a gap's sign
+    pattern does not have the canonical form on that grid.
     """
     _require_positive_sigma(p)
-    thr = -1.0 / (p.sigma ** 2 * p.c)
     comps = measure.support_of(p.nu)
     good: list[tuple[float, float]] = []
     for gap_lo, gap_hi in comps.gaps():
-        good.extend(_scan_gap(p, gap_lo, gap_hi, thr))
+        good.extend(_scan_gap(p, gap_lo, gap_hi))
     good.sort()
     if len(good) < 2 or not math.isinf(good[0][0]) or not math.isinf(good[-1][1]):
         raise ConvergenceError("admissible set does not have the canonical form")
@@ -474,14 +418,15 @@ def support(p: ModelParams) -> SupportResult:
     """Support of the limit law, computed once per ModelParams.
 
     Interval l is [phi(u_l), phi(v_l)] for the admissible-set boundaries
-    u_l, v_l (a lower edge within 1e-9 of zero is zero); the zero flag
+    u_l, v_l (when c = 1, a lower edge within 1e-9 of zero is zero; for
+    c < 1 the support stays away from zero, however little); the zero flag
     follows the zero-membership classification (False for c < 1).
     """
     adm = admissible_set(p)
     intervals: list[tuple[float, float]] = []
     for u_l, v_l in adm.complement.intervals:
         lo, hi = phi(p, u_l), phi(p, v_l)
-        if abs(lo) <= 1e-9:
+        if p.c == 1.0 and abs(lo) <= 1e-9:
             lo = 0.0
         intervals.append((lo, hi))
     for lo, hi in intervals:
@@ -503,8 +448,9 @@ def omega(p: ModelParams, x: float) -> float:
     ``x`` must lie strictly outside the support of the limit law.  On the
     matching admissible-set component ``phi`` is strictly increasing, so
     Newton on phi(u) = x is kept inside a bracket of that component that
-    shrinks with every step.  The residual |phi(omega(x)) - x| is at most
-    1e-10 * max(1, |x|).
+    shrinks with every step.  An unbounded component is cut to a bracket by
+    the facts behind ``_window``.  The residual |phi(omega(x)) - x| is at
+    most 1e-10 * max(1, |x|).
     """
     _require_positive_sigma(p)
     sup = support(p)
@@ -512,20 +458,12 @@ def omega(p: ModelParams, x: float) -> float:
     if k is None:
         raise DomainError(f"x={x!r} lies in the support of the limit law")
     lo_b, hi_b = sup.admissible.components()[k]
+    if math.isinf(hi_b):
+        hi_b = x  # x > phi(v_p) > v_p, and phi(x) > x by (F1)
+    if math.isinf(lo_b):
+        # u_1 >= -s^2 (1+c), and phi(u) <= u + s^2 (1+c) < x below by (F2)
+        lo_b = min(x, 0.0) - p.sigma ** 2 * (1.0 + p.c) - 1.0
     f = lambda u: phi(p, u) - x
-    if math.isinf(lo_b) or math.isinf(hi_b):
-        # step away from the finite end until phi passes x
-        side = -1.0 if math.isinf(lo_b) else 1.0
-        end = hi_b if side < 0.0 else lo_b
-        step = max(1.0, abs(end), p.sigma ** 2)
-        for _ in range(200):
-            far = end + side * step
-            if side * f(far) > 0.0:
-                break
-            step *= 2.0
-        else:
-            raise ConvergenceError("could not bracket omega")
-        lo_b, hi_b = (far, end) if side < 0.0 else (end, far)
     if f(lo_b) >= 0.0:
         u = lo_b
     elif f(hi_b) <= 0.0:
@@ -537,7 +475,7 @@ def omega(p: ModelParams, x: float) -> float:
     return u
 
 
-def k_transform(p: ModelParams, x: float, tol: float = 1e-12) -> float:
+def k_transform(p: ModelParams, x: float) -> float:
     """Map x -> x + sigma^2(1-c)/(1 - sigma^2 c g(x)) through the c=1 companion model.
 
     ``g`` is the Stieltjes transform of the limit law with parameters
@@ -554,5 +492,5 @@ def k_transform(p: ModelParams, x: float, tol: float = 1e-12) -> float:
         raise DomainError(f"x={x!r} lies in the companion support")
     from . import stieltjes
 
-    g = stieltjes.solve_g(aux, complex(x, 1e-9), tol=tol).g
+    g = stieltjes.solve_g(aux, complex(x, 1e-9)).g
     return x + p.sigma ** 2 * (1.0 - p.c) / (1.0 - p.sigma ** 2 * p.c * g.real)

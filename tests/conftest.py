@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ipn.measure import MeasureSpec
 from ipn.subordination import ModelParams
@@ -25,6 +26,32 @@ MODEL_MIXED = ModelParams(sigma=0.4, c=0.8, nu=MIXED)
 
 FIVE_MODELS = (MODEL_D1_C1, MODEL_D2_HALF, MODEL_SPLIT, MODEL_UNIFORM, MODEL_MIXED)
 ALL_MODELS = FIVE_MODELS + (MODEL_D2_C1, MODEL_MERGED)
+
+
+@st.composite
+def measures(draw):
+    """Random small atom + segment mixtures with comfortably separated parts."""
+    n_atoms = draw(st.integers(0, 3))
+    n_segs = draw(st.integers(0, 2))
+    if n_atoms + n_segs == 0:
+        n_atoms = 1
+    slots = draw(st.permutations(range(8)))[: n_atoms + n_segs]
+    atoms = []
+    segments = []
+    weights = [draw(st.floats(0.1, 1.0)) for _ in range(n_atoms + n_segs)]
+    total = sum(weights)
+    weights = [w / total for w in weights]
+    for i in range(n_atoms):
+        atoms.append((weights[i], 1.25 * slots[i] + draw(st.floats(0.0, 0.5))))
+    for j in range(n_segs):
+        base = 1.25 * slots[n_atoms + j]
+        segments.append((weights[n_atoms + j], base,
+                         base + draw(st.floats(0.2, 0.7))))
+    try:
+        return MeasureSpec(atoms=tuple(atoms), segments=tuple(segments))
+    except ValueError:
+        # rare slot collisions (atom at a segment edge); retry with atoms only
+        return MeasureSpec(atoms=((1.0, 1.0 + draw(st.floats(0.0, 1.0))),))
 
 
 @pytest.fixture(scope="session")

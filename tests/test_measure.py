@@ -14,7 +14,7 @@ from ipn import measure
 from ipn.errors import DomainError
 from ipn.measure import MeasureSpec
 
-from conftest import DELTA2, TWO_ATOMS, UNIFORM_13
+from conftest import DELTA2, TWO_ATOMS, UNIFORM_13, measures
 
 
 # ---------------------------------------------------------------------------
@@ -232,32 +232,6 @@ def test_mp_total_mass_scaled_sigma():
 # ---------------------------------------------------------------------------
 # Property tests
 # ---------------------------------------------------------------------------
-
-@st.composite
-def measures(draw):
-    """Random small atom + segment mixtures with comfortably separated parts."""
-    n_atoms = draw(st.integers(0, 3))
-    n_segs = draw(st.integers(0, 2))
-    if n_atoms + n_segs == 0:
-        n_atoms = 1
-    slots = draw(st.permutations(range(8)))[: n_atoms + n_segs]
-    atoms = []
-    segments = []
-    weights = [draw(st.floats(0.1, 1.0)) for _ in range(n_atoms + n_segs)]
-    total = sum(weights)
-    weights = [w / total for w in weights]
-    for i in range(n_atoms):
-        atoms.append((weights[i], 1.25 * slots[i] + draw(st.floats(0.0, 0.5))))
-    for j in range(n_segs):
-        base = 1.25 * slots[n_atoms + j]
-        segments.append((weights[n_atoms + j], base,
-                         base + draw(st.floats(0.2, 0.7))))
-    try:
-        return MeasureSpec(atoms=tuple(atoms), segments=tuple(segments))
-    except ValueError:
-        # rare slot collisions (atom at a segment edge); retry with atoms only
-        return MeasureSpec(atoms=((1.0, 1.0 + draw(st.floats(0.0, 1.0))),))
-
 
 @given(measures(), st.floats(0.01, 0.9))
 @settings(max_examples=60, deadline=None)

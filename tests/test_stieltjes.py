@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from ipn import measure, stieltjes, subordination
-from ipn.errors import DomainError
+from ipn import cli, measure, stieltjes, subordination
+from ipn.errors import ConvergenceError, DomainError
 from ipn.measure import MeasureSpec
 from ipn.subordination import ModelParams
 
@@ -119,6 +119,26 @@ def test_density_vanishes_outside_support():
     fs = stieltjes.density(MODEL_SPLIT, pts).fs
     assert [fs[0], fs[2], fs[3], fs[4], fs[5]] == [0.0] * 5
     assert fs[1] > 0.0
+
+
+def test_density_raises_on_a_failed_point(monkeypatch, capsys):
+    # a point whose solve fails raises instead of leaving a NaN in the grid
+    # the support of MODEL_D1_C1 is [0, 6.75]: fail at 3.375, the middle
+    # point of the library grid below and of the CLI's 5-point grid
+    xs = [1.0, 2.0, 3.375, 4.0, 5.0]
+    real = stieltjes._omega
+
+    def failing(p, z, warm=None):
+        if z.real == 3.375:
+            raise ConvergenceError("injected failure")
+        return real(p, z, warm)
+    monkeypatch.setattr(stieltjes, "_omega", failing)
+    with pytest.raises(ConvergenceError):
+        stieltjes.density(MODEL_D1_C1, xs)
+    code = cli.run(["density", "--sigma", "1", "--c", "1", "--nu",
+                    '{"atoms":[{"w":1,"t":1}]}', "--points", "5", "--no-timestamp"])
+    assert code == 2
+    assert "injected failure" in capsys.readouterr().err
 
 
 def test_density_mass_normalizes():

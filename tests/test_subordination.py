@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ipn import measure, subordination
 from ipn.errors import ConvergenceError, DomainError
@@ -13,7 +14,7 @@ from ipn.measure import MeasureSpec
 from ipn.subordination import ModelParams
 
 from conftest import (ALL_MODELS, DELTA1, DELTA2, FIVE_MODELS, MODEL_D1_C1, MODEL_D2_C1,
-                      MODEL_D2_HALF, MODEL_MIXED, MODEL_SPLIT, TWO_ATOMS,
+                      MODEL_D2_HALF, MODEL_MIXED, MODEL_SPLIT, TWO_ATOMS, measures,
                       off_support_grid)
 
 
@@ -129,6 +130,15 @@ def test_g_condition_boundary_point_mass():
     assert adm.v[0] > 2.0
 
 
+@pytest.mark.parametrize("t", [1e-6, 0.25, 1.0])
+def test_g_threshold_crossing_on_the_unbounded_left_gap(t):
+    # g_nu = 1/(u - t) meets -1/(s^2 c) = -1/1.35 at t - 1.35, which nears
+    # -s^2 c as t -> 0: the guard -s^2 c - 1 must stay to its left
+    p = ModelParams(sigma=1.5, c=0.6, nu=MeasureSpec.point_mass(t))
+    crossing = subordination.g_threshold_crossing(p, (-math.inf, t))
+    assert crossing == pytest.approx(t - 1.35, abs=1e-11)
+
+
 def test_g_threshold_crossing_beyond_the_left_guard():
     # next to the segment end at 3 g_nu diverges only logarithmically, so the
     # crossing in the gap (3, 3.5) lies within about 1e-150 of 3: the left
@@ -141,6 +151,18 @@ def test_g_threshold_crossing_beyond_the_left_guard():
     adm = subordination.admissible_set(p)
     assert adm.p == 1 and adm.u[0] < 1.0 and adm.v[0] > 3.5
     assert len(subordination.support(p).intervals) == 1
+
+
+def test_slope_root_inside_the_guard_zone():
+    # next to the ends of a wide segment at sigma = 1e-4, phi' changes sign
+    # closer to supp(nu) than the support-membership guard: the guard points
+    # stand for the boundaries, which must not land on supp(nu) itself
+    p = ModelParams(sigma=1e-4, c=0.5, nu=MeasureSpec(segments=((1.0, 1e4, 2e4),)))
+    adm = subordination.admissible_set(p)
+    comps = measure.support_of(p.nu)
+    assert all(0.0 < comps.distance(b) <= 1e-7 for b in adm.boundaries)
+    (lo, hi), = subordination.support(p).intervals
+    assert 1e4 - 1e-3 < lo < 1e4 and 2e4 < hi < 2e4 + 1e-3
 
 
 def test_admissible_set_shrinks_onto_support_at_small_sigma():
@@ -220,6 +242,51 @@ def test_support_intervals_ordered_and_separated():
     assert subordination.support(MODEL_D1_C1).intervals[0][1] == 6.75
 
 
+@pytest.mark.parametrize("sigma", [0.01, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("t", [1e-3, 1.0, 1e2, 1e4, 1e6])
+def test_support_point_mass_c1_closed_form(t, sigma):
+    # nu = delta_t, c = 1: phi(t + w) = (t + w)(w + s^2)^2 / w^2, whose slope
+    # vanishes where w^2 - s^2 w - 2 t s^2 = 0; below the negative root the
+    # threshold w < -s^2 binds instead when s^2 >= t, and phi(t - s^2) = 0
+    s2 = sigma ** 2
+    edge = lambda w: (t + w) * (w + s2) ** 2 / w ** 2
+    w_hi = 0.5 * (s2 + math.sqrt(s2 * s2 + 8.0 * t * s2))
+    w_lo = -2.0 * t * s2 / w_hi
+    (lo, hi), = subordination.support(
+        ModelParams(sigma=sigma, c=1.0, nu=MeasureSpec.point_mass(t))).intervals
+    assert hi == pytest.approx(edge(w_hi), rel=1e-12, abs=0.0)
+    if s2 >= t:
+        assert lo == 0.0
+    else:
+        assert lo == pytest.approx(edge(w_lo), rel=1e-12, abs=0.0)
+
+
+def check_norm_bound(p):
+    # Weyl: supp mu lies in [(sqrt(m) - r)_+^2, (sqrt(M) + r)^2] with
+    # r = sigma (1 + sqrt(c)); the scan windows and omega's brackets rest on
+    # u_1 >= phi(u_1) - sigma^2 (1+c) and v_p < phi(v_p)
+    comps = measure.support_of(p.nu)
+    r = p.sigma * (1.0 + math.sqrt(p.c))
+    sup = subordination.support(p)
+    lo, hi = sup.intervals[0][0], sup.intervals[-1][1]
+    assert lo >= max(math.sqrt(comps.min) - r, 0.0) ** 2 * (1.0 - 1e-12)
+    assert hi <= (math.sqrt(comps.max) + r) ** 2 * (1.0 + 1e-12)
+    assert sup.admissible.u[0] >= lo - p.sigma ** 2 * (1.0 + p.c)
+    assert sup.admissible.v[-1] < hi
+
+
+@pytest.mark.parametrize("p", ALL_MODELS)
+def test_support_within_norm_bound(p):
+    check_norm_bound(p)
+
+
+@given(measures(), st.floats(1e-3, 3.0), st.floats(0.05, 1.0))
+@example(MeasureSpec.point_mass(1.25), 2.0, 0.99999)  # lower edge 1.5e-10 > 0
+@settings(max_examples=60, deadline=None)
+def test_support_within_norm_bound_on_random_measures(nu, sigma, c):
+    check_norm_bound(ModelParams(sigma=sigma, c=c, nu=nu))
+
+
 def test_support_result_serialization():
     d = subordination.support(MODEL_SPLIT).to_dict()
     assert set(d) == {"intervals", "zero_in_support", "boundaries"}
@@ -255,7 +322,15 @@ def test_omega_rejects_support_points():
 @pytest.mark.parametrize("p", FIVE_MODELS)
 def test_inverse_pair_residual_on_grid(p):
     sup = subordination.support(p)
-    for x in off_support_grid(sup):
+    # besides the grid: 1e6 spans beyond each outer edge, where omega's
+    # bracket on an unbounded component is widest, and 1e-6 spans inside
+    # every gap, where phi' -> 0 at the edge
+    span = sup.intervals[-1][1] - sup.intervals[0][0] + 1.0
+    extremes = [sup.intervals[0][0] - 1e6 * span, sup.intervals[-1][1] + 1e6 * span]
+    for a, b in sup.components.gaps():
+        width = b - a if math.isfinite(b - a) else span
+        extremes += [x for x in (a + 1e-6 * width, b - 1e-6 * width) if math.isfinite(x)]
+    for x in off_support_grid(sup) + extremes:
         u = subordination.omega(p, x)
         assert abs(subordination.phi(p, u) - x) <= 1e-9 * max(1.0, abs(x))
 
