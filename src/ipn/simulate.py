@@ -4,11 +4,12 @@ that verify the limit theory over those samples.
 The signal matrix is rectangular diagonal: spiked directions carry
 sqrt(theta_j), the rest carry square roots of deterministic quantiles of nu
 (so the empirical signal spectrum converges to nu with no sampling noise and
-stays uniformly close to supp(nu)).  Eigenvalues of the sample are squared
-singular values of sigma*X/sqrt(N) + A; the noise stream is counter-based
-per (seed, trial), so trials are reproducible.  Each experiment is sampled
-once by ``run_trials``; every check (separation, inclusion, outliers, KS,
-and the ``verify_all`` suite) is a function over that list of samples.
+stays uniformly close to supp(nu)).  Eigenvalues of the sample are those of
+the n x n Gram matrix Y Y* for Y = sigma*X/sqrt(N) + A, from one symmetric
+eigensolve per trial; the noise stream is counter-based per (seed, trial),
+so trials are reproducible.  Each experiment is sampled once by
+``run_trials``; every check (separation, inclusion, outliers, KS, and the
+``verify_all`` suite) is a function over that list of samples.
 """
 
 from __future__ import annotations
@@ -140,10 +141,13 @@ def sample_eigenvalues(cfg: SimConfig, trial: int,
                        d: np.ndarray | None = None) -> EigenSample:
     """Eigenvalues of one sampled matrix, descending, deterministic in (seed, trial).
 
-    Computed as squared singular values of sigma*X/sqrt(N) + A; the matrix
-    of squares is never formed.  ``d`` is the diagonal of A from ``build_A``,
-    built here when not given.  With sigma = 0 the signal eigenvalues are
-    returned exactly.
+    Computed as ``eigvalsh(Y Y*)`` for Y = sigma*X/sqrt(N) + A: one n x n
+    Gram product and one symmetric eigensolve.  Forming Y Y* squares the
+    condition number of Y, so each eigenvalue carries an absolute error of
+    about eps*||Y||^2; small eigenvalues near zero at c = 1 are accurate to
+    that absolute level, not relatively.  ``d`` is the diagonal of A from
+    ``build_A``, built here when not given.  With sigma = 0 the signal
+    eigenvalues are returned exactly.
     """
     if cfg.model.sigma == 0.0:
         signal = spikes_mod.signal_eigenvalues(cfg.model, cfg.spikes, cfg.n)
@@ -156,13 +160,15 @@ def sample_eigenvalues(cfg: SimConfig, trial: int,
                                                        / math.sqrt(cfg.N))
     idx = np.arange(cfg.n)
     Y[idx, idx] = Y[idx, idx] + d
+    G = Y @ Y.conj().T
+    del Y  # Y and the solver's workspace are never held together
     try:
-        svals = np.linalg.svd(Y, compute_uv=False)
+        evals = np.linalg.eigvalsh(G)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
-            f"singular value decomposition failed on trial {trial}: {exc}"
+            f"eigendecomposition failed on trial {trial}: {exc}"
         ) from exc
-    return EigenSample(eigenvalues=svals * svals, trial_index=trial,
+    return EigenSample(eigenvalues=evals[::-1].copy(), trial_index=trial,
                        seed_used=cfg.seed)
 
 

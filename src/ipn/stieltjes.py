@@ -93,7 +93,8 @@ def _newton(p: ModelParams, z: complex, u: complex, tol: float = 1e-12
     prev = math.inf
     for k in range(1, _NEWTON_STEPS + 1):
         try:
-            step = (subordination.phi(p, u) - z) / subordination.phi_prime(p, u)
+            f, fp = subordination.phi_and_prime(p, u)
+            step = (f - z) / fp
         except ZeroDivisionError:
             return None, k
         u -= step
@@ -162,7 +163,8 @@ def solve_g(p: ModelParams, z: complex) -> GSolution:
         r = abs(_fp_map(p, z, g) - g)
         if r <= RESIDUAL_TOL or k == 3:
             break
-        u -= (subordination.phi(p, u) - z) / subordination.phi_prime(p, u)
+        f, fp = subordination.phi_and_prime(p, u)
+        u -= (f - z) / fp
     steps += k
     if not (r <= RESIDUAL_TOL * max(1.0, abs(g)) and g.imag < 0.0):
         raise ConvergenceError(f"no solution at z={z!r}: residual {r!r}, g={g!r}")

@@ -167,13 +167,20 @@ def phi(p: ModelParams, x):
     return x * a * a + p.sigma ** 2 * (1.0 - p.c) * a
 
 
-def phi_prime(p: ModelParams, x):
-    """Derivative of ``phi``; takes the same inputs as ``phi``."""
+def phi_and_prime(p: ModelParams, x):
+    """``phi`` and its derivative at x, from one g_nu and one g_nu' call;
+    takes the same inputs as ``phi`` and matches it bit for bit."""
     s2c = p.c * p.sigma ** 2
     g = measure.g_nu(p.nu, x)
     gp = measure.g_nu_prime(p.nu, x)
     a = 1.0 + s2c * g
-    return a * a + 2.0 * x * a * s2c * gp + p.sigma ** 2 * (1.0 - p.c) * s2c * gp
+    tail = p.sigma ** 2 * (1.0 - p.c)
+    return x * a * a + tail * a, a * a + 2.0 * x * a * s2c * gp + tail * s2c * gp
+
+
+def phi_prime(p: ModelParams, x):
+    """Derivative of ``phi``; takes the same inputs as ``phi``."""
+    return phi_and_prime(p, x)[1]
 
 
 def _require_positive_sigma(p: ModelParams) -> None:
@@ -418,15 +425,19 @@ def support(p: ModelParams) -> SupportResult:
     """Support of the limit law, computed once per ModelParams.
 
     Interval l is [phi(u_l), phi(v_l)] for the admissible-set boundaries
-    u_l, v_l (when c = 1, a lower edge within 1e-9 of zero is zero; for
-    c < 1 the support stays away from zero, however little); the zero flag
-    follows the zero-membership classification (False for c < 1).
+    u_l, v_l.  The zero flag follows the zero-membership classification
+    (False for c < 1).  A lower edge within 1e-9 of zero is zero when the
+    flag is set, or when phi gives it at or below zero: the true edge is
+    then positive but under phi's rounding floor (c within about 1e-12 of
+    1 with a zero-touching c = 1 limit).  A tiny positive edge with the
+    flag unset stays what phi gives.
     """
     adm = admissible_set(p)
+    zero = zero_in_support(p)
     intervals: list[tuple[float, float]] = []
     for u_l, v_l in adm.complement.intervals:
         lo, hi = phi(p, u_l), phi(p, v_l)
-        if p.c == 1.0 and abs(lo) <= 1e-9:
+        if abs(lo) <= 1e-9 and (zero or lo < 0.0):
             lo = 0.0
         intervals.append((lo, hi))
     for lo, hi in intervals:
@@ -435,9 +446,8 @@ def support(p: ModelParams) -> SupportResult:
     for (_, hi_a), (lo_b, _) in zip(intervals, intervals[1:]):
         if not hi_a < lo_b:
             raise ConvergenceError("support intervals are not separated")
-    zero = zero_in_support(p)
-    if p.c < 1.0 and intervals[0][0] <= 0.0:
-        raise ConvergenceError("support minimum must be positive for c < 1")
+    if p.c < 1.0 and intervals[0][0] < 0.0:
+        raise ConvergenceError("support minimum must not be negative for c < 1")
     return SupportResult(intervals=tuple(intervals), zero_in_support=zero,
                          admissible=adm)
 

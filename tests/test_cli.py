@@ -127,12 +127,13 @@ def test_convergence_error_exits_two(monkeypatch):
 def test_failed_decomposition_exits_two(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
-    monkeypatch.setattr(np.linalg, "svd", boom)
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
     code = run_cli(["simulate", "--config", small_config(tmp_path),
                     "--n", "8", "--N", "8", "--output", str(tmp_path / "t.jsonl")])
     assert code == 2
     err = capsys.readouterr().err
     assert "convergence error" in err and "Traceback" not in err
+    assert "trial 0" in err
 
 
 def test_density_csv_output(tmp_path):

@@ -71,6 +71,28 @@ def test_noise_entries_standardized(dist, rng):
     assert np.mean(np.abs(x) ** 2) == pytest.approx(1.0, abs=0.02)
 
 
+@pytest.mark.parametrize("dist", simulate.ENTRY_DISTS)
+@pytest.mark.parametrize("model, n, N", [(MODEL_D1_C1, 60, 60),
+                                         (MODEL_SPLIT, 30, 60)],
+                         ids=["c1", "c_half"])
+def test_gram_eigenvalues_match_squared_singular_values(model, n, N, dist):
+    # oracle: an independent SVD of the same seeded Y = sigma X / sqrt(N) + A;
+    # the Gram route is accurate to about eps ||Y||^2, the smallest
+    # eigenvalues at c = 1 included
+    cfg = SimConfig(n=n, N=N, model=model, entry_dist=dist, seed=31,
+                    spikes=SpikeSpec((9.0,), (1,)), trials=2)
+    Y = simulate._noise(simulate._trial_rng(cfg.seed, 1), (n, N), dist) * (
+        model.sigma / math.sqrt(N))
+    idx = np.arange(n)
+    Y[idx, idx] += simulate.build_A(model, cfg.spikes, n, N)
+    oracle = np.linalg.svd(Y, compute_uv=False) ** 2
+    ev = simulate.sample_eigenvalues(cfg, 1).eigenvalues
+    assert ev.shape == (n,) and ev.dtype == np.float64
+    assert np.all(ev[:-1] >= ev[1:])
+    assert np.max(np.abs(ev - oracle)) <= 1e-12 * max(1.0, oracle[0])
+    assert simulate.sample_eigenvalues(cfg, 1).eigenvalues.tobytes() == ev.tobytes()
+
+
 def test_eigenvalues_descending_nonnegative():
     cfg = SimConfig(n=40, N=80, model=MODEL_SPLIT, seed=5)
     s = simulate.sample_eigenvalues(cfg, 0)
@@ -215,10 +237,10 @@ def test_empirical_cdf_distance_sigma_zero_nan():
     assert math.isnan(out)
 
 
-def test_svd_failure_carries_trial_index(monkeypatch):
+def test_eigensolver_failure_carries_trial_index(monkeypatch):
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
-    monkeypatch.setattr(np.linalg, "svd", boom)
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
     cfg = SimConfig(n=8, N=8, model=MODEL_D1_C1, seed=0)
     with pytest.raises(np.linalg.LinAlgError, match="trial 0"):
         simulate.sample_eigenvalues(cfg, 0)

@@ -204,6 +204,16 @@ def test_interval_mass_at_the_hard_edge():
     assert abs(mass - measure.mass_between(p.nu, adm.u[0], adm.v[0])) <= 1e-6
 
 
+@pytest.mark.parametrize("s2", [0.999, 0.9999])
+def test_interval_mass_with_a_tiny_positive_lower_edge(s2):
+    # nu = delta_1, c = 1, sigma^2 just below 1: zero is outside the support,
+    # so the lower edges 1.5e-10 and 1.5e-13 stay positive (a snap to 0
+    # made the mass panels start off the support, where Newton fails)
+    p = ModelParams(sigma=math.sqrt(s2), c=1.0, nu=DELTA1)
+    (mass,) = stieltjes.interval_masses(p)
+    assert mass == pytest.approx(1.0, abs=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # cdf_mu / quantile_mu
 # ---------------------------------------------------------------------------

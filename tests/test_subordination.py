@@ -229,22 +229,22 @@ def test_support_intervals_ordered_and_separated():
         for (_, a_hi), (b_lo, _) in zip(sup.intervals, sup.intervals[1:]):
             assert a_hi < b_lo
         # every boundary sits in a gap of supp(nu), where phi is analytic,
-        # and the support edges are phi there (a lower edge near 0 snaps to 0)
+        # and the support edges are phi there (a lower edge near 0 snaps to 0
+        # when zero is in the support, or when phi puts it below zero)
         comps = measure.support_of(p.nu)
         adm = sup.admissible
         assert all(comps.distance(b) > measure.ATOL for b in adm.boundaries)
         for (lo, hi), u, v in zip(sup.intervals, adm.u, adm.v):
             phi_u = subordination.phi(p, u)
-            assert lo == phi_u or (lo == 0.0 and abs(phi_u) <= 1e-9)
+            assert lo == phi_u or (lo == 0.0 and abs(phi_u) <= 1e-9
+                                   and (sup.zero_in_support or phi_u < 0.0))
             assert hi == subordination.phi(p, v)
     # the model of configs/reference_a.json: phi(x) = x^3/(x-1)^2 peaks
     # at 27/4 at x = 3 with zero slope, so the edge is exact
     assert subordination.support(MODEL_D1_C1).intervals[0][1] == 6.75
 
 
-@pytest.mark.parametrize("sigma", [0.01, 0.3, 1.0, 3.0])
-@pytest.mark.parametrize("t", [1e-3, 1.0, 1e2, 1e4, 1e6])
-def test_support_point_mass_c1_closed_form(t, sigma):
+def check_point_mass_c1_edges(t, sigma, lo_rel=1e-12):
     # nu = delta_t, c = 1: phi(t + w) = (t + w)(w + s^2)^2 / w^2, whose slope
     # vanishes where w^2 - s^2 w - 2 t s^2 = 0; below the negative root the
     # threshold w < -s^2 binds instead when s^2 >= t, and phi(t - s^2) = 0
@@ -252,13 +252,28 @@ def test_support_point_mass_c1_closed_form(t, sigma):
     edge = lambda w: (t + w) * (w + s2) ** 2 / w ** 2
     w_hi = 0.5 * (s2 + math.sqrt(s2 * s2 + 8.0 * t * s2))
     w_lo = -2.0 * t * s2 / w_hi
-    (lo, hi), = subordination.support(
-        ModelParams(sigma=sigma, c=1.0, nu=MeasureSpec.point_mass(t))).intervals
+    sup = subordination.support(
+        ModelParams(sigma=sigma, c=1.0, nu=MeasureSpec.point_mass(t)))
+    (lo, hi), = sup.intervals
     assert hi == pytest.approx(edge(w_hi), rel=1e-12, abs=0.0)
+    assert sup.zero_in_support is (s2 >= t)
     if s2 >= t:
         assert lo == 0.0
     else:
-        assert lo == pytest.approx(edge(w_lo), rel=1e-12, abs=0.0)
+        assert lo == pytest.approx(edge(w_lo), rel=lo_rel, abs=0.0)
+
+
+@pytest.mark.parametrize("sigma", [0.01, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("t", [1e-3, 1.0, 1e2, 1e4, 1e6])
+def test_support_point_mass_c1_closed_form(t, sigma):
+    check_point_mass_c1_edges(t, sigma)
+
+
+@pytest.mark.parametrize("s2, lo_rel", [(0.999, 1e-12), (0.9999, 1e-11)])
+def test_support_point_mass_c1_closed_form_below_snap(s2, lo_rel):
+    # lower edges 1.48e-10 and 1.5e-13, inside the 1e-9 snap distance, with
+    # zero outside the support: the edge stays positive
+    check_point_mass_c1_edges(1.0, math.sqrt(s2), lo_rel)
 
 
 def check_norm_bound(p):
@@ -282,6 +297,7 @@ def test_support_within_norm_bound(p):
 
 @given(measures(), st.floats(1e-3, 3.0), st.floats(0.05, 1.0))
 @example(MeasureSpec.point_mass(1.25), 2.0, 0.99999)  # lower edge 1.5e-10 > 0
+@example(MeasureSpec.point_mass(0.5), 1.0, 0.9999999999999999)  # phi(u_1) < 0
 @settings(max_examples=60, deadline=None)
 def test_support_within_norm_bound_on_random_measures(nu, sigma, c):
     check_norm_bound(ModelParams(sigma=sigma, c=c, nu=nu))
