@@ -8,8 +8,13 @@ stays uniformly close to supp(nu)).  Eigenvalues of the sample are those of
 the n x n Gram matrix Y Y* for Y = sigma*X/sqrt(N) + A, from one symmetric
 eigensolve per trial; the noise stream is counter-based per (seed, trial),
 so trials are reproducible.  Each experiment is sampled once by
-``run_trials``; every check (separation, inclusion, outliers, KS, and the
+``run_trials``; every check (separation, outliers, KS, and the
 ``verify_all`` suite) is a function over that list of samples.
+
+``separation_gaps`` is the one map of where exact separation applies: every
+gap of the computed support with omega > 0, cut at the outlier limits.
+Every default separation window is the middle 40% of one of its bounded
+pieces (``middle_window``).
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ class SeparationReport:
     gap: tuple[float, float]
     omega_gap: tuple[float, float]
     i_N: int
-    a_count_ok: tuple[bool, ...]
+    a_count_ok: bool
     m_count_ok: tuple[bool, ...]
     pass_fraction: float
 
@@ -92,24 +97,10 @@ class SeparationReport:
             "gap": list(self.gap),
             "omega_gap": list(self.omega_gap),
             "i_N": self.i_N,
-            "a_count_ok": list(self.a_count_ok),
+            "a_count_ok": self.a_count_ok,
             "m_count_ok": list(self.m_count_ok),
             "pass_fraction": self.pass_fraction,
         }
-
-
-@dataclass(frozen=True)
-class InclusionReport:
-    """Eigenvalues straying farther than epsilon from the predicted set."""
-
-    epsilon: float
-    offenders: tuple[tuple[float, ...], ...]
-    trials_passed: tuple[bool, ...]
-    pass_fraction: float
-
-    @property
-    def all_pass(self) -> bool:
-        return all(self.trials_passed)
 
 
 def build_A(model: ModelParams, spikes: SpikeSpec, n: int, N: int) -> np.ndarray:
@@ -178,9 +169,42 @@ def run_trials(cfg: SimConfig) -> list[EigenSample]:
     return [sample_eigenvalues(cfg, t, d) for t in range(cfg.trials)]
 
 
+def separation_gaps(model: ModelParams, spikes: SpikeSpec
+                    ) -> list[tuple[float, float]]:
+    """Open intervals outside the computed support where exact separation
+    applies, in ascending order.
+
+    Every gap of the support is cut at each OUTLIER limit phi(theta) inside
+    it.  The left gap keeps only its part where omega > 0: the piece
+    (phi(0), lo_1) when u_1 > 0 and zero is not in the support (phi(0) = 0
+    at c = 1), and nothing otherwise.  The last piece is unbounded.
+    """
+    sup = subordination.support(model)
+    cuts = sorted(o.limit for o in spikes_mod.classify(model, spikes)
+                  if o.case_tag == spikes_mod.OUTLIER)
+    gaps = sup.components.gaps()
+    if sup.admissible.u[0] > 0.0 and not sup.zero_in_support:
+        gaps[0] = (subordination.phi(model, 0.0), gaps[0][1])
+    else:
+        del gaps[0]
+    pieces = []
+    for lo, hi in gaps:
+        edges = [lo, *(t for t in cuts if lo < t < hi), hi]
+        pieces.extend(zip(edges, edges[1:]))
+    return pieces
+
+
+def middle_window(piece: tuple[float, float]) -> tuple[float, float]:
+    """The middle 40% of a bounded piece: the default separation window."""
+    lo, hi = piece
+    width = hi - lo
+    return lo + 0.3 * width, hi - 0.3 * width
+
+
 def omega_gap(model: ModelParams, gap: tuple[float, float]) -> tuple[float, float]:
     """[omega(a), omega(b)] for a spectral gap [a, b], after checking that the
-    gap is one separation applies to; call it before sampling to fail fast."""
+    gap is one separation applies to; call it before sampling to fail fast.
+    b may be inf, with omega(inf) = inf."""
     a, b = float(gap[0]), float(gap[1])
     if not a < b:
         raise PreconditionError(f"gap must satisfy a < b, got {gap!r}")
@@ -194,7 +218,7 @@ def omega_gap(model: ModelParams, gap: tuple[float, float]) -> tuple[float, floa
     if model.sigma == 0.0:
         return a, b
     omega_a = subordination.omega(model, a)
-    omega_b = subordination.omega(model, b)
+    omega_b = math.inf if b == math.inf else subordination.omega(model, b)
     if model.c < 1.0 and omega_a <= 0.0:
         raise PreconditionError("separation requires omega(a) > 0 when c < 1")
     return omega_a, omega_b
@@ -206,7 +230,8 @@ def verify_separation(cfg: SimConfig, gap: tuple[float, float],
 
     The index i_N counts signal eigenvalues above omega(b); separation holds
     for a trial when the signal spectrum avoids [omega(a), omega(b)] and the
-    sample spectrum splits at i_N around [a, b].
+    sample spectrum splits at i_N around [a, b].  On the unbounded gap
+    (b = inf) i_N is 0 and the check is that no eigenvalue reaches a.
     """
     a, b = float(gap[0]), float(gap[1])
     omega_a, omega_b = omega_gap(cfg.model, gap)
@@ -220,43 +245,9 @@ def verify_separation(cfg: SimConfig, gap: tuple[float, float],
                               and (i_N == 0 or ev[i_N - 1] > b)))
     passed = [a_ok and m_ok for m_ok in m_ok_list]
     return SeparationReport(gap=(a, b), omega_gap=(omega_a, omega_b), i_N=i_N,
-                            a_count_ok=(a_ok,) * len(samples),
+                            a_count_ok=a_ok,
                             m_count_ok=tuple(m_ok_list),
                             pass_fraction=sum(passed) / len(passed))
-
-
-def verify_inclusion(cfg: SimConfig, epsilon: float,
-                     samples: list[EigenSample]) -> InclusionReport:
-    """Flag eigenvalues farther than epsilon from the predicted spectral set.
-
-    The set is the computed support plus the predicted outlier locations
-    (plus zero when c = 1 puts mass there).
-    """
-    model = cfg.model
-    if model.sigma == 0.0:
-        comps = measure.support_of(model.nu)
-        points = list(cfg.spikes.thetas)
-    else:
-        sup = subordination.support(model)
-        comps = sup.components
-        outcomes = spikes_mod.classify(model, cfg.spikes)
-        points = [o.limit for o in outcomes if o.case_tag == spikes_mod.OUTLIER]
-        if model.c == 1.0 and sup.zero_in_support:
-            points.append(0.0)
-
-    offenders = []
-    passed = []
-    for sample in samples:
-        ev = sample.eigenvalues
-        d = comps.distance(ev)
-        for pt in points:
-            d = np.minimum(d, np.abs(ev - pt))
-        bad = tuple(float(x) for x in ev[d > epsilon])
-        offenders.append(bad)
-        passed.append(not bad)
-    return InclusionReport(epsilon=float(epsilon), offenders=tuple(offenders),
-                           trials_passed=tuple(passed),
-                           pass_fraction=sum(passed) / len(passed))
 
 
 def empirical_cdf_distance(model: ModelParams, samples: list[EigenSample]) -> float:
@@ -303,10 +294,12 @@ def verify_all(sim: SimConfig, gap: tuple[float, float] | None,
 
     Analytic checks (inverse pair, subordination chain, mass equality) come
     first; the experiment is then sampled once and the separation, outlier
-    and KS checks read those samples.  Without a gap, the middle 40% of the
-    widest spectral gap is used, and separation is skipped when the support
-    is one interval.  ``checks`` overrides entries of ``DEFAULT_CHECKS``.
-    The report's ``all_pass`` is false when any check fails.
+    and KS checks read those samples.  Without a gap, the middle window of
+    the widest inner piece of ``separation_gaps`` (a gap between two support
+    intervals, cut at the outlier limits) is used, and separation is skipped
+    when the support is one interval.  ``checks`` overrides entries of
+    ``DEFAULT_CHECKS``.  The report's ``all_pass`` is false when any check
+    fails.
     """
     model = sim.model
     checks_cfg = {**DEFAULT_CHECKS, **checks}
@@ -350,10 +343,11 @@ def verify_all(sim: SimConfig, gap: tuple[float, float] | None,
                     "max_mass_error": worst_mass, "tolerance": tol,
                     "interval_masses": list(masses)})
 
-    if gap is None and len(sup.intervals) >= 2:
-        widest = max(sup.components.gaps()[1:-1], key=lambda g: g[1] - g[0])
-        width = widest[1] - widest[0]
-        gap = (widest[0] + 0.3 * width, widest[1] - 0.3 * width)
+    if gap is None:
+        inner = [(lo, hi) for lo, hi in separation_gaps(model, sim.spikes)
+                 if sup.intervals[0][1] <= lo and hi <= sup.intervals[-1][0]]
+        if inner:
+            gap = middle_window(max(inner, key=lambda g: g[1] - g[0]))
     if gap is not None:
         omega_gap(model, gap)  # reject a bad gap before sampling
     samples = run_trials(sim)

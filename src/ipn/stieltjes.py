@@ -33,10 +33,6 @@ from .subordination import ModelParams
 #: than rounding noise.
 NEGATIVE_DENSITY_FLOOR = -1e-6
 
-#: When c = 1, density grids must stay at least this far from zero, where
-#: the limit law may have its hard edge.
-ZERO_GUARD = 1e-6
-
 #: Fixed-point residual |F(g) - g| that ``solve_g`` aims for; it accepts up
 #: to RESIDUAL_TOL max(1, |g|).
 RESIDUAL_TOL = 1e-12
@@ -173,12 +169,6 @@ def solve_g(p: ModelParams, z: complex) -> GSolution:
     return GSolution(z=z, g=g, iterations=steps, residual=r)
 
 
-def near_zero(p: ModelParams, x):
-    """Whether x is inside the neighbourhood of zero that density grids must
-    avoid (only when c = 1); elementwise for an array."""
-    return (p.c == 1.0) & (np.abs(x) < ZERO_GUARD)
-
-
 def _density_at(p: ModelParams, x: float, warm: complex | None
                 ) -> tuple[float, complex]:
     """Density -Im g(x) / pi at x strictly inside the support, and the root
@@ -198,8 +188,9 @@ def density(p: ModelParams, xs) -> DensityGrid:
     g is solved on the real axis itself, each point warm-started from the
     last (see ``_density_at``); a point that fails raises ConvergenceError.
     Points not strictly inside a support interval (the edges and the gaps)
-    get exactly zero without a solve.  The grid must stay within a bounding
-    box around the computed support and outside ``near_zero``.
+    get exactly zero without a solve, so a hard edge at zero (c = 1) reads
+    0 there and is solved like any other point just above it.  The grid
+    must stay within a bounding box around the computed support.
     """
     sup = subordination.support(p)
     xs = [float(x) for x in xs]
@@ -211,9 +202,6 @@ def density(p: ModelParams, xs) -> DensityGrid:
     for x in xs:
         if not lo - pad <= x <= hi + pad:
             raise DomainError(f"grid point {x!r} outside the support bounding box")
-        if near_zero(p, x):
-            raise DomainError(f"grid may not enter the {ZERO_GUARD} "
-                              "neighborhood of zero when c = 1")
     warm = None
     fs = []
     for x in xs:
@@ -395,7 +383,7 @@ def quantile_mu(p: ModelParams, alpha: float) -> float:
 
     return subordination._bracketed_root(
         f, a, b, 1e-15 * (1.0 + abs(b)),
-        lambda x: -_g_mu(p, solve(x)).imag / math.pi)
+        lambda x: (f(x), -_g_mu(p, solve(x)).imag / math.pi))
 
 
 def h_residual(p: ModelParams, x: float) -> float:

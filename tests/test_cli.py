@@ -199,9 +199,30 @@ def test_separation_command(tmp_path):
                     "--gap", "3.37", "3.46", "--output", str(out),
                     "--no-timestamp"])
     assert code == 0
-    rep = read_json(str(out))["result"]
+    (rep,) = read_json(str(out))["result"]
     assert rep["i_N"] == 100
+    assert rep["a_count_ok"] is True
     assert rep["pass_fraction"] >= 0.95
+
+
+def test_separation_without_gap_checks_every_bounded_piece(tmp_path):
+    cfg = small_config(tmp_path, model={
+        "sigma": 1.0, "c": 0.5,
+        "nu": {"atoms": [{"w": 0.5, "t": 1.0}, {"w": 0.5, "t": 5.0}],
+               "segments": []}})
+    size = ["--n", "60", "--N", "120", "--trials", "2", "--no-timestamp"]
+    out = tmp_path / "sep.json"
+    assert run_cli(["separation", "--config", cfg, *size,
+                    "--output", str(out)]) == 0
+    left, inner = read_json(str(out))["result"]
+    assert left["i_N"] == 60 and inner["i_N"] == 30
+    assert left["gap"][1] < inner["gap"][0]
+
+    out = tmp_path / "verify.json"
+    run_cli(["verify-all", "--config", cfg, *size, "--output", str(out)])
+    sep = next(c for c in read_json(str(out))["checks"]
+               if c["name"] == "separation")
+    assert sep["gap"] == inner["gap"]
 
 
 def test_gap_inside_support_exits_one_before_sampling(tmp_path, monkeypatch):

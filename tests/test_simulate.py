@@ -1,4 +1,4 @@
-"""Tests for matrix sampling, separation, inclusion, and the KS distance."""
+"""Tests for matrix sampling, the gap map, separation, and the KS distance."""
 
 from __future__ import annotations
 
@@ -14,7 +14,23 @@ from ipn.simulate import SimConfig
 from ipn.spikes import SpikeSpec
 from ipn.subordination import ModelParams
 
-from conftest import DELTA1, MODEL_D1_C1, MODEL_SPLIT, TWO_ATOMS
+from conftest import (DELTA1, MODEL_D1_C1, MODEL_D2_C1, MODEL_MERGED,
+                      MODEL_SPLIT, TWO_ATOMS)
+
+
+def inclusion_passes(cfg, epsilon, samples) -> list[bool]:
+    """Per-trial separation on every piece of the gap map shrunk by epsilon
+    at both ends (pieces narrower than 2 epsilon are skipped): a trial
+    passes when no eigenvalue lies farther than epsilon from the support and
+    the outlier limits, and the counts split where the signal's do."""
+    passed = [True] * len(samples)
+    for lo, hi in simulate.separation_gaps(cfg.model, cfg.spikes):
+        if lo + epsilon < hi - epsilon:
+            rep = simulate.verify_separation(cfg, (lo + epsilon, hi - epsilon),
+                                             samples)
+            passed = [p and rep.a_count_ok and m
+                      for p, m in zip(passed, rep.m_count_ok)]
+    return passed
 
 
 def test_config_validation():
@@ -111,7 +127,8 @@ def test_separation_two_interval_model():
     rep = simulate.verify_separation(cfg, gap, simulate.run_trials(cfg))
     assert rep.i_N == 150
     assert rep.pass_fraction >= 0.95
-    assert gap_lo < rep.omega_gap[0] < rep.omega_gap[1] < gap_hi or True
+    adm = sup.admissible
+    assert adm.v[0] < rep.omega_gap[0] < rep.omega_gap[1] < adm.u[1]
     # omega of the gap lands between the two atoms of nu
     assert 1.0 < rep.omega_gap[0] < rep.omega_gap[1] < 5.0
 
@@ -126,7 +143,7 @@ def test_separation_rank_sandwich():
     samples = simulate.run_trials(cfg)
     rep = simulate.verify_separation(cfg, (a, b), samples)
     for t, s in enumerate(samples):
-        if rep.a_count_ok[t] and rep.m_count_ok[t]:
+        if rep.a_count_ok and rep.m_count_ok[t]:
             assert int(np.sum(s.eigenvalues > b)) == rep.i_N
 
 
@@ -158,27 +175,95 @@ def test_separation_requires_positive_omega_when_c_below_one():
             simulate.verify_separation(cfg, (a, lo * 0.5), [])
 
 
+def test_separation_gaps_of_two_intervals_cut_at_an_outlier():
+    sup = subordination.support(MODEL_SPLIT)
+    (lo1, hi1), (lo2, hi2) = sup.intervals
+    phi0 = subordination.phi(MODEL_SPLIT, 0.0)
+    assert 0.0 < phi0 < lo1
+    assert simulate.separation_gaps(MODEL_SPLIT, SpikeSpec()) == [
+        (phi0, lo1), (hi1, lo2), (hi2, math.inf)]
+    # theta = omega(x) for x in the inner gap is an outlier with limit x
+    x = 0.5 * (hi1 + lo2)
+    theta = subordination.omega(MODEL_SPLIT, x)
+    cut = subordination.phi(MODEL_SPLIT, theta)
+    assert cut == pytest.approx(x, rel=1e-12)
+    assert simulate.separation_gaps(MODEL_SPLIT, SpikeSpec((theta,), (1,))) == [
+        (phi0, lo1), (hi1, cut), (cut, lo2), (hi2, math.inf)]
+
+
+@pytest.mark.parametrize("model", [MODEL_D1_C1, MODEL_MERGED],
+                         ids=["zero_in_support", "u1_negative"])
+def test_separation_gaps_without_a_left_piece(model):
+    sup = subordination.support(model)
+    assert sup.zero_in_support or sup.admissible.u[0] < 0.0
+    assert simulate.separation_gaps(model, SpikeSpec()) == [
+        (sup.intervals[0][1], math.inf)]
+
+
+def test_separation_gaps_left_piece_starts_at_zero_when_c_is_one():
+    sup = subordination.support(MODEL_D2_C1)
+    assert not sup.zero_in_support and sup.admissible.u[0] > 0.0
+    pieces = simulate.separation_gaps(MODEL_D2_C1, SpikeSpec())
+    assert pieces[0] == (0.0, sup.intervals[0][0])
+    assert pieces[1:] == [(sup.intervals[0][1], math.inf)]
+
+
+def test_separation_on_the_unbounded_gap():
+    cfg = SimConfig(n=60, N=120, model=MODEL_SPLIT, seed=4, trials=2,
+                    spikes=SpikeSpec((9.0,), (1,)))
+    samples = simulate.run_trials(cfg)
+    limit, end = simulate.separation_gaps(cfg.model, cfg.spikes)[-1]
+    assert end == math.inf
+    rep = simulate.verify_separation(cfg, (limit + 0.5, math.inf), samples)
+    assert rep.omega_gap[0] > 9.0 and rep.omega_gap[1] == math.inf
+    assert rep.i_N == 0 and rep.a_count_ok and rep.pass_fraction == 1.0
+    # a window that reaches below the top eigenvalue of each trial fails
+    top = min(s.eigenvalues[0] for s in samples)
+    rep = simulate.verify_separation(cfg, (top - 0.01, math.inf), samples)
+    assert rep.i_N == 0 and not any(rep.m_count_ok)
+
+
+def test_verify_all_default_gap_avoids_an_inner_outlier():
+    sup = subordination.support(MODEL_SPLIT)
+    x = 0.5 * (sup.intervals[0][1] + sup.intervals[1][0])
+    theta = subordination.omega(MODEL_SPLIT, x)
+    cfg = SimConfig(n=60, N=120, model=MODEL_SPLIT, seed=11, trials=2,
+                    spikes=SpikeSpec((theta,), (1,)))
+    report = simulate.verify_all(cfg, None, {})
+    checks = {c["name"]: c for c in report["checks"]}
+    (row,) = checks["outlier"]["spikes"]
+    a, b = checks["separation"]["gap"]
+    assert row["case"] == spikes.OUTLIER
+    assert not a <= row["limit"] <= b
+    assert sup.intervals[0][1] < a < b < sup.intervals[1][0]
+
+
+# Inclusion: no eigenvalue farther than epsilon from the support and the
+# outlier limits, read as separation on every piece of the gap map.
+
 def test_inclusion_large_epsilon_always_passes():
     cfg = SimConfig(n=60, N=60, model=MODEL_D1_C1, seed=2, trials=3,
                     spikes=SpikeSpec((4.0,), (1,)))
-    rep = simulate.verify_inclusion(cfg, 10.0, simulate.run_trials(cfg))
-    assert rep.all_pass
-    assert rep.pass_fraction == 1.0
+    passed = inclusion_passes(cfg, 10.0, simulate.run_trials(cfg))
+    assert passed == [True] * 3
 
 
 def test_inclusion_tiny_epsilon_reports_not_raises():
     cfg = SimConfig(n=100, N=200, model=MODEL_SPLIT, seed=7, trials=10)
-    rep = simulate.verify_inclusion(cfg, 1e-6, simulate.run_trials(cfg))
-    assert not rep.all_pass  # finite-size fluctuations must be reported
-    assert any(len(o) > 0 for o in rep.offenders)
-    assert 0.0 < rep.pass_fraction < 1.0
+    samples = simulate.run_trials(cfg)
+    passed = inclusion_passes(cfg, 1e-6, samples)
+    assert not all(passed)  # finite-size fluctuations must be reported
+    pieces = simulate.separation_gaps(cfg.model, cfg.spikes)
+    assert any(np.any((s.eigenvalues > lo + 1e-6) & (s.eigenvalues < hi - 1e-6))
+               for s in samples for lo, hi in pieces)
+    assert 0.0 < sum(passed) / len(passed) < 1.0
 
 
 def test_inclusion_moderate_epsilon_with_spike():
     cfg = SimConfig(n=400, N=400, model=MODEL_D1_C1, seed=21, trials=3,
                     spikes=SpikeSpec((4.0,), (1,)))
-    rep = simulate.verify_inclusion(cfg, 0.45, simulate.run_trials(cfg))
-    assert rep.pass_fraction >= 2.0 / 3.0
+    passed = inclusion_passes(cfg, 0.45, simulate.run_trials(cfg))
+    assert sum(passed) / len(passed) >= 2.0 / 3.0
 
 
 def test_spiked_packet_sizes():
@@ -220,8 +305,7 @@ def test_extreme_eigenvalue_windows_at_production_size():
     lam1s = np.array([s.eigenvalues[0] for s in samples])
     assert int(np.sum((lam1s >= 6.91) & (lam1s <= 7.31))) >= 18
 
-    rep = simulate.verify_inclusion(cfg_spike, 0.3, samples)
-    assert sum(rep.trials_passed) >= 18
+    assert sum(inclusion_passes(cfg_spike, 0.3, samples)) >= 18
 
 
 def test_empirical_cdf_distance_small():

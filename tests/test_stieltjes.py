@@ -159,8 +159,8 @@ def test_density_two_interval_masses():
 
 
 def test_density_grid_preconditions():
-    with pytest.raises(DomainError):
-        stieltjes.density(MODEL_D1_C1, [0.0])  # zero neighborhood at c = 1
+    # zero is the support edge at c = 1 here: exactly 0, without a solve
+    assert stieltjes.density(MODEL_D1_C1, [0.0]).fs == (0.0,)
     with pytest.raises(DomainError):
         stieltjes.density(MODEL_D1_C1, [1e3])  # outside the bounding box
     with pytest.raises(DomainError):
@@ -169,13 +169,14 @@ def test_density_grid_preconditions():
 
 def test_density_matches_marchenko_pastur_closed_form():
     # nu = delta at 1e-9 makes the limit law the scaled MP law to within
-    # 1e-9; at c = 1 the grid also runs within 1e-5 of the hard edge at zero
+    # 1e-9; at c = 1 the grid also runs down to 1e-12 from the hard edge at
+    # zero, where the density grows like x^(-1/2)
     for c in (0.5, 1.0):
         p = ModelParams(sigma=1.0, c=c, nu=MeasureSpec.point_mass(1e-9))
         lo, hi = measure.mp_edges(c, 1.0)
         xs = [float(x) for x in np.linspace(lo + 0.05, hi - 0.05, 40)]
         if c == 1.0:
-            xs = [1.5e-6, 2e-6, 5e-6, 1e-5] + xs
+            xs = [1e-12, 1e-10, 1e-8, 1e-6, 1.5e-6, 2e-6, 5e-6, 1e-5] + xs
         grid = stieltjes.density(p, xs)
         for x, f in zip(grid.xs, grid.fs):
             assert f == pytest.approx(measure.mp_density(c, 1.0, x), rel=1e-6)
@@ -187,7 +188,7 @@ def test_density_matches_cubic_oracle_near_both_edges():
     import mpmath
 
     with mpmath.workdps(50):
-        for x in (6.75 - 1e-6, 6.75 - 1e-4, 1e-3, 1e-5):
+        for x in (6.75 - 1e-6, 6.75 - 1e-4, 1e-3, 1e-5, 1e-8, 1e-10, 1e-12):
             xm = mpmath.mpf(x)
             roots = mpmath.polyroots([xm, -2 * xm, xm, -1], maxsteps=200,
                                      extraprec=200)

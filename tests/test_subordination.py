@@ -359,6 +359,33 @@ def test_omega_strictly_increasing_across_gaps(p):
     assert all(b > a for a, b in zip(us, us[1:]))
 
 
+def test_omega_newton_steps_read_one_transform_each(monkeypatch):
+    # phi and phi' come from one g_nu and one g_nu' call per Newton step, so
+    # a solve's g_nu calls exceed its g_nu' calls only by the four value-only
+    # reads: the two bracket ends, the root finder's first end and the
+    # residual check
+    counts = {"g": 0, "gp": 0}
+    real_g, real_gp = measure.g_nu, measure.g_nu_prime
+
+    def g_nu(*args):
+        counts["g"] += 1
+        return real_g(*args)
+
+    def g_nu_prime(*args):
+        counts["gp"] += 1
+        return real_gp(*args)
+
+    sups = [(p, subordination.support(p)) for p in ALL_MODELS]  # cached first
+    monkeypatch.setattr(measure, "g_nu", g_nu)
+    monkeypatch.setattr(measure, "g_nu_prime", g_nu_prime)
+    for p, sup in sups:
+        for x in off_support_grid(sup):
+            before = dict(counts)
+            subordination.omega(p, x)
+            assert counts["g"] - before["g"] <= counts["gp"] - before["gp"] + 4, (p, x)
+    assert counts["gp"] > 0
+
+
 @pytest.mark.parametrize("p", FIVE_MODELS)
 def test_phi_globally_increasing_on_admissible_set(p):
     adm = subordination.admissible_set(p)
