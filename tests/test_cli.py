@@ -124,6 +124,16 @@ def test_convergence_error_exits_two(monkeypatch):
     assert run_cli(["support", *SMALL_MODEL]) == 2
 
 
+def test_library_key_error_is_not_a_config_error(monkeypatch, capsys):
+    # only reading the config and building inputs turn KeyError into exit 1
+    def boom(model):
+        raise KeyError("sigma")
+    monkeypatch.setattr(cli.subordination, "support", boom)
+    with pytest.raises(KeyError):
+        run_cli(["support", *SMALL_MODEL])
+    assert "malformed config" not in capsys.readouterr().err
+
+
 def test_failed_decomposition_exits_two(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
@@ -283,26 +293,32 @@ def test_verify_all_reports_are_reproducible(tmp_path):
 
 def test_spike_ranks_agree_across_commands(tmp_path):
     # sqrt(2)**2 > 2, so ranks counted from squared diagonal entries of A
-    # would put the theta = 2 packet at rank 3
-    spec = SpikeSpec((4.0, 2.0), (1, 1))
+    # would put the theta = 2 packet at rank 3; the theta = 0.25 packet lies
+    # below the bulk, so its rank is the matrix size sim.n, whether --n or
+    # the config alone sets it
+    spec = SpikeSpec((4.0, 2.0, 0.25), (1, 1, 1))
     signal = spikes.signal_eigenvalues(MODEL_D1_C1, spec, 200)
     expected = [1 + int(np.sum(signal > t)) for t in spec.thetas]
-    assert expected == [1, 2]
+    assert expected == [1, 2, 200]
 
-    cfg = small_config(tmp_path, spikes=spec.to_dict())
-    out = tmp_path / "spikes.json"
-    assert run_cli(["spikes", "--config", cfg, "--n", "200",
-                    "--output", str(out), "--no-timestamp"]) == 0
-    from_spikes = [r["ranks"][0] for r in read_json(str(out))["result"]]
+    def ranks(cfg, spikes_flags, verify_flags):
+        out = tmp_path / "spikes.json"
+        assert run_cli(["spikes", "--config", cfg, *spikes_flags,
+                        "--output", str(out), "--no-timestamp"]) == 0
+        from_spikes = [r["ranks"][0] for r in read_json(str(out))["result"]]
+        out = tmp_path / "verify.json"
+        run_cli(["verify-all", "--config", cfg, *verify_flags,
+                 "--output", str(out), "--no-timestamp"])
+        outlier = next(c for c in read_json(str(out))["checks"]
+                       if c["name"] == "outlier")
+        return from_spikes, [row["rank"] for row in outlier["spikes"]]
 
-    out = tmp_path / "verify.json"
-    run_cli(["verify-all", "--config", cfg, "--n", "200", "--N", "200",
-             "--output", str(out), "--no-timestamp"])
-    outlier = next(c for c in read_json(str(out))["checks"]
-                   if c["name"] == "outlier")
-    from_verify = [row["rank"] for row in outlier["spikes"]]
-
-    assert from_spikes == from_verify == expected
+    cfg = small_config(tmp_path, spikes=spec.to_dict())  # sim.n = 250
+    assert ranks(cfg, ["--n", "200"],
+                 ["--n", "200", "--N", "200"]) == (expected, expected)
+    cfg = small_config(tmp_path, spikes=spec.to_dict(),
+                       sim={"n": 200, "N": 200, "seed": 3, "trials": 3})
+    assert ranks(cfg, [], []) == (expected, expected)
 
 
 def test_timestamp_present_by_default(tmp_path):
@@ -312,7 +328,9 @@ def test_timestamp_present_by_default(tmp_path):
 
 
 def test_flags_override_config(tmp_path):
-    cfg = small_config(tmp_path)
+    from_config = tmp_path / "from_config.json"
+    cfg = small_config(tmp_path, separation={"gap": [6.76, 6.8]},
+                       output={"path": str(from_config)})
     out = tmp_path / "support.json"
     code = run_cli(["support", "--config", cfg, "--sigma", "1", "--c", "1",
                     "--nu", '{"atoms":[{"w":1,"t":2}]}',
@@ -321,6 +339,29 @@ def test_flags_override_config(tmp_path):
     report = read_json(str(out))
     assert report["model"]["nu"]["atoms"][0]["t"] == 2.0
     assert report["result"]["zero_in_support"] is False
+
+    size = ["--n", "20", "--N", "20", "--trials", "1", "--no-timestamp"]
+    out = tmp_path / "trials.jsonl"
+    assert run_cli(["simulate", "--config", cfg, *size, "--seed", "11",
+                    "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == 11  # the config says 3
+
+    out = tmp_path / "sep.json"
+    assert run_cli(["separation", "--config", cfg, *size, "--gap", "6.77", "6.79",
+                    "--output", str(out)]) == 0
+    (rep,) = read_json(str(out))["result"]
+    assert rep["gap"] == [6.77, 6.79]
+    assert not from_config.exists()  # every --output beat the config's path
+
+
+def test_mult_alone_overrides_config_multiplicities(tmp_path):
+    cfg = small_config(tmp_path, spikes={"thetas": [4.0], "multiplicities": [1]})
+    out = tmp_path / "spikes.json"
+    assert run_cli(["spikes", "--config", cfg, "--mult", "2",
+                    "--output", str(out), "--no-timestamp"]) == 0
+    [rec] = read_json(str(out))["result"]
+    assert rec["ranks"] == [1, 2]
+    assert run_cli(["spikes", "--config", cfg, "--mult", "1", "--mult", "1"]) == 1
 
 
 def test_support_runs_without_scipy():
