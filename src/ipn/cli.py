@@ -166,7 +166,7 @@ def _cmd_simulate(args: argparse.Namespace, cfg: dict, sim: SimConfig) -> int:
     lines = []
     for s in samples:
         ev = [float(x) for x in s.eigenvalues]
-        rec: dict = {"trial": s.trial_index, "seed": s.seed_used}
+        rec: dict = {"trial": s.trial_index, "seed": sim.seed}
         if args.full:
             rec["eigenvalues"] = ev
         else:

@@ -20,13 +20,12 @@ pieces (``middle_window``).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import measure, spikes as spikes_mod, stieltjes, subordination
-from .errors import DomainError, PreconditionError
+from .errors import PreconditionError
 from .spikes import SpikeSpec
 from .subordination import ModelParams
 
@@ -58,10 +57,11 @@ class SimConfig:
     trials: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "N", int(self.N))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "trials", int(self.trials))
+        for name in ("n", "N", "seed", "trials"):
+            value = getattr(self, name)
+            if isinstance(value, float) and not value.is_integer():
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 1 <= self.n <= self.N:
             raise ValueError(f"need 1 <= n <= N, got n={self.n}, N={self.N}")
         if self.entry_dist not in ENTRY_DISTS:
@@ -78,7 +78,6 @@ class EigenSample:
 
     eigenvalues: np.ndarray
     trial_index: int
-    seed_used: int
 
 
 @dataclass(frozen=True)
@@ -103,11 +102,9 @@ class SeparationReport:
         }
 
 
-def build_A(model: ModelParams, spikes: SpikeSpec, n: int, N: int) -> np.ndarray:
+def build_A(model: ModelParams, spikes: SpikeSpec, n: int) -> np.ndarray:
     """Diagonal entries of the n x N signal matrix: square roots of
     ``spikes.signal_eigenvalues``, in the same order."""
-    if n > N:
-        raise DomainError(f"need n <= N, got n={n}, N={N}")
     return np.sqrt(spikes_mod.signal_eigenvalues(model, spikes, n))
 
 
@@ -137,15 +134,10 @@ def sample_eigenvalues(cfg: SimConfig, trial: int,
     condition number of Y, so each eigenvalue carries an absolute error of
     about eps*||Y||^2; small eigenvalues near zero at c = 1 are accurate to
     that absolute level, not relatively.  ``d`` is the diagonal of A from
-    ``build_A``, built here when not given.  With sigma = 0 the signal
-    eigenvalues are returned exactly.
+    ``build_A``, built here when not given.
     """
-    if cfg.model.sigma == 0.0:
-        signal = spikes_mod.signal_eigenvalues(cfg.model, cfg.spikes, cfg.n)
-        return EigenSample(eigenvalues=np.sort(signal)[::-1].copy(),
-                           trial_index=trial, seed_used=cfg.seed)
     if d is None:
-        d = build_A(cfg.model, cfg.spikes, cfg.n, cfg.N)
+        d = build_A(cfg.model, cfg.spikes, cfg.n)
     rng = _trial_rng(cfg.seed, trial)
     Y = _noise(rng, (cfg.n, cfg.N), cfg.entry_dist) * (cfg.model.sigma
                                                        / math.sqrt(cfg.N))
@@ -159,13 +151,12 @@ def sample_eigenvalues(cfg: SimConfig, trial: int,
         raise np.linalg.LinAlgError(
             f"eigendecomposition failed on trial {trial}: {exc}"
         ) from exc
-    return EigenSample(eigenvalues=evals[::-1].copy(), trial_index=trial,
-                       seed_used=cfg.seed)
+    return EigenSample(eigenvalues=evals[::-1].copy(), trial_index=trial)
 
 
 def run_trials(cfg: SimConfig) -> list[EigenSample]:
     """All trials of the experiment, sharing one signal matrix."""
-    d = build_A(cfg.model, cfg.spikes, cfg.n, cfg.N)
+    d = build_A(cfg.model, cfg.spikes, cfg.n)
     return [sample_eigenvalues(cfg, t, d) for t in range(cfg.trials)]
 
 
@@ -203,20 +194,16 @@ def middle_window(piece: tuple[float, float]) -> tuple[float, float]:
 
 def omega_gap(model: ModelParams, gap: tuple[float, float]) -> tuple[float, float]:
     """[omega(a), omega(b)] for a spectral gap [a, b], after checking that the
-    gap is one separation applies to; call it before sampling to fail fast.
-    b may be inf, with omega(inf) = inf."""
+    gap is one separation applies to: [a, b] inside one gap of the computed
+    support, and omega(a) > 0 when c < 1.  Call it before sampling to fail
+    fast.  b may be inf, with omega(inf) = inf."""
     a, b = float(gap[0]), float(gap[1])
     if not a < b:
         raise PreconditionError(f"gap must satisfy a < b, got {gap!r}")
-    if model.sigma == 0.0:
-        comps, name = measure.support_of(model.nu), "supp(nu) in the noiseless case"
-    else:
-        comps, name = subordination.support(model).components, "the computed support"
+    comps = subordination.support(model).components
     k = comps.gap_index(a)
     if k is None or comps.gap_index(b) != k:
-        raise PreconditionError(f"gap overlaps {name}")
-    if model.sigma == 0.0:
-        return a, b
+        raise PreconditionError("gap overlaps the computed support")
     omega_a = subordination.omega(model, a)
     omega_b = math.inf if b == math.inf else subordination.omega(model, b)
     if model.c < 1.0 and omega_a <= 0.0:
@@ -251,15 +238,8 @@ def verify_separation(cfg: SimConfig, gap: tuple[float, float],
 
 
 def empirical_cdf_distance(model: ModelParams, samples: list[EigenSample]) -> float:
-    """Kolmogorov-Smirnov distance between pooled eigenvalues and the model CDF.
-
-    Returns NaN (with a diagnostic warning) at sigma = 0, where the density
-    inversion does not apply.
-    """
-    if model.sigma == 0.0:
-        warnings.warn("empirical_cdf_distance is undefined at sigma = 0; "
-                      "returning NaN", stacklevel=2)
-        return math.nan
+    """Kolmogorov-Smirnov distance between pooled eigenvalues and the model
+    CDF, a number in [0, 1]."""
     pooled = np.sort(np.concatenate([s.eigenvalues for s in samples]))
     m = len(pooled)
     model_cdf = stieltjes.cdf_mu(model, pooled)

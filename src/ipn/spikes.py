@@ -37,6 +37,9 @@ class SpikeSpec:
     multiplicities: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if any(isinstance(k, float) and not k.is_integer()
+               for k in self.multiplicities):
+            raise DomainError("multiplicities must be positive integers")
         thetas = tuple(float(t) for t in self.thetas)
         mults = tuple(int(k) for k in self.multiplicities)
         object.__setattr__(self, "thetas", thetas)

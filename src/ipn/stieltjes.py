@@ -150,9 +150,6 @@ def solve_g(p: ModelParams, z: complex) -> GSolution:
     z = complex(z)
     if z.imag <= 0.0:
         raise DomainError(f"solve_g requires Im z > 0, got {z!r}")
-    if p.sigma == 0.0:
-        g = measure.g_nu(p.nu, z)
-        return GSolution(z=z, g=g, iterations=0, residual=0.0)
     u, steps = _omega(p, z)
     for k in range(4):  # at the rounding floor Newton steps dither around u
         g = _g_mu(p, u)

@@ -50,12 +50,8 @@ _SCAN_POINTS = 4096
 
 @dataclass(frozen=True)
 class ModelParams:
-    """One information-plus-noise limit law: noise scale, ratio, base measure.
-
-    ``sigma`` may be zero only as the degenerate noiseless limit used by
-    tests and by the simulator; the spectral-map operations require
-    ``sigma > 0``.
-    """
+    """One information-plus-noise limit law: noise scale sigma > 0, ratio
+    c in (0, 1], base measure nu."""
 
     sigma: float
     c: float
@@ -64,8 +60,8 @@ class ModelParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "c", float(self.c))
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
         if not 0.0 < self.c <= 1.0:
             raise ValueError(f"c must be in (0, 1], got {self.c!r}")
         if not isinstance(self.nu, MeasureSpec):
@@ -158,10 +154,7 @@ def phi(p: ModelParams, x):
     """Forward spectral map x*(1 + c*s^2*g(x))^2 + s^2*(1-c)*(1 + c*s^2*g(x)).
 
     Takes what ``measure.g_nu`` takes: complex x off the real axis, or real
-    x away from supp(nu), a float or elementwise a real numpy array.  At
-    sigma = 0 this reduces to the identity, which is the degenerate limit
-    exposed for testing.
-    """
+    x away from supp(nu), a float or elementwise a real numpy array."""
     g = measure.g_nu(p.nu, x)
     a = 1.0 + p.c * p.sigma ** 2 * g
     return x * a * a + p.sigma ** 2 * (1.0 - p.c) * a
@@ -181,11 +174,6 @@ def phi_and_prime(p: ModelParams, x):
 def phi_prime(p: ModelParams, x):
     """Derivative of ``phi``; takes the same inputs as ``phi``."""
     return phi_and_prime(p, x)[1]
-
-
-def _require_positive_sigma(p: ModelParams) -> None:
-    if p.sigma <= 0.0:
-        raise DomainError("operation requires sigma > 0")
 
 
 def _bracketed_root(f, a: float, b: float, xtol: float,
@@ -299,7 +287,6 @@ def g_threshold_crossing(p: ModelParams, gap: tuple[float, float]) -> float | No
     only logarithmically), that guard point itself is returned, since the
     condition is settled on the resolvable part of the gap.
     """
-    _require_positive_sigma(p)
     gap_lo, gap_hi = gap
     thr = -1.0 / (p.sigma ** 2 * p.c)
     if math.isinf(gap_hi):
@@ -372,7 +359,6 @@ def admissible_set(p: ModelParams) -> AdmissibleSet:
     on g_nu) to absolute 1e-11.  Raises ConvergenceError if a gap's sign
     pattern does not have the canonical form on that grid.
     """
-    _require_positive_sigma(p)
     comps = measure.support_of(p.nu)
     good: list[tuple[float, float]] = []
     for gap_lo, gap_hi in comps.gaps():
@@ -412,7 +398,6 @@ def zero_in_support(p: ModelParams) -> bool:
     For c < 1 it never does.  For c = 1 it does exactly when zero lies in
     supp(nu) or g_nu(0) <= -1/sigma^2.
     """
-    _require_positive_sigma(p)
     if p.c < 1.0:
         return False
     comps = measure.support_of(p.nu)
@@ -463,7 +448,6 @@ def omega(p: ModelParams, x: float) -> float:
     the facts behind ``_window``.  The residual |phi(omega(x)) - x| is at
     most 1e-10 * max(1, |x|).
     """
-    _require_positive_sigma(p)
     sup = support(p)
     k = sup.components.gap_index(x)
     if k is None:
@@ -500,7 +484,6 @@ def k_transform(p: ModelParams, x: float) -> float:
     admissible set, which is the cross-check exercised by the tests.
     Requires c < 1 and x outside the companion support.
     """
-    _require_positive_sigma(p)
     if not p.c < 1.0:
         raise DomainError("the K transform is defined for c < 1 only")
     aux = ModelParams(sigma=p.sigma * math.sqrt(p.c), c=1.0, nu=p.nu)

@@ -86,11 +86,34 @@ def test_malformed_measure_exits_one(capsys):
     assert "validation error" in capsys.readouterr().err
 
 
-def test_nan_sigma_exits_one(capsys):
-    code = run_cli(["support", "--sigma", "nan", "--c", "1",
-                    "--nu", '{"atoms":[{"w":1,"t":1}]}'])
-    assert code == 1
-    assert "validation error" in capsys.readouterr().err
+def test_nan_sigma_exits_one(monkeypatch, capsys):
+    # every command rejects a NaN or zero sigma alike, while building its inputs
+    calls = count_samples(monkeypatch)
+    sim = ["--n", "4", "--N", "8"]
+    for command in (["support"], ["density"], ["spikes"], ["simulate", *sim],
+                    ["separation", *sim, "--gap", "2", "4"], ["verify-all", *sim]):
+        for sigma in ("nan", "0"):
+            code = run_cli([*command, "--sigma", sigma, "--c", "1",
+                            "--nu", '{"atoms":[{"w":1,"t":1}]}'])
+            assert (command[0], sigma, code) == (command[0], sigma, 1)
+            assert capsys.readouterr().err == (
+                f"validation error: sigma must be finite and positive, "
+                f"got {float(sigma)!r}\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("section, field, bad", [
+    ("sim", "n", float("inf")), ("sim", "trials", 2.5),
+    ("spikes", "multiplicities", [float("inf")])], ids=["n", "trials", "mult"])
+def test_non_integral_config_integer_exits_one(tmp_path, capsys, section,
+                                               field, bad):
+    data = read_json(small_config(tmp_path, spikes={"thetas": [4.0],
+                                                    "multiplicities": [1]}))
+    data[section][field] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))  # inf is written as Infinity
+    assert run_cli(["simulate", "--config", str(path)]) == 1  # nothing raised
+    assert capsys.readouterr().err.startswith("validation error: ")
 
 
 def test_unknown_flag_exits_one():

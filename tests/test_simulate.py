@@ -9,13 +9,10 @@ import pytest
 
 from ipn import simulate, spikes, subordination
 from ipn.errors import DomainError, PreconditionError
-from ipn.measure import MeasureSpec
 from ipn.simulate import SimConfig
 from ipn.spikes import SpikeSpec
-from ipn.subordination import ModelParams
 
-from conftest import (DELTA1, MODEL_D1_C1, MODEL_D2_C1, MODEL_MERGED,
-                      MODEL_SPLIT, TWO_ATOMS)
+from conftest import MODEL_D1_C1, MODEL_D2_C1, MODEL_MERGED, MODEL_SPLIT
 
 
 def inclusion_passes(cfg, epsilon, samples) -> list[bool]:
@@ -43,28 +40,29 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(n=2, N=4, model=MODEL_D1_C1,
                   spikes=SpikeSpec((4.0, 3.0, 2.0), (1, 1, 1)))
+    # integer fields are never truncated: non-integral or non-finite values fail
+    for field, bad in [("n", 20.7), ("N", 40.5), ("trials", 2.5), ("seed", 3.9),
+                       ("n", math.inf), ("N", math.inf), ("trials", math.nan),
+                       ("seed", -math.inf)]:
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SimConfig(**{"n": 20, "N": 40, "model": MODEL_D1_C1, field: bad})
+    cfg = SimConfig(n=20.0, N=40.0, model=MODEL_D1_C1, seed=3.0, trials=2.0)
+    assert (cfg.n, cfg.N, cfg.seed, cfg.trials) == (20, 40, 3, 2)
+    assert all(type(v) is int for v in (cfg.n, cfg.N, cfg.seed, cfg.trials))
 
 
 def test_build_a_examples():
-    d = simulate.build_A(MODEL_D1_C1, SpikeSpec(), 4, 8)
+    d = simulate.build_A(MODEL_D1_C1, SpikeSpec(), 4)
     assert np.allclose(d, [1.0, 1.0, 1.0, 1.0])
-    d = simulate.build_A(MODEL_SPLIT, SpikeSpec(), 4, 8)
+    d = simulate.build_A(MODEL_SPLIT, SpikeSpec(), 4)
     assert np.allclose(sorted(d), [1.0, 1.0, math.sqrt(5.0), math.sqrt(5.0)])
-    d = simulate.build_A(MODEL_D1_C1, SpikeSpec((4.0,), (1,)), 4, 8)
+    d = simulate.build_A(MODEL_D1_C1, SpikeSpec((4.0,), (1,)), 4)
     assert np.allclose(d, [2.0, 1.0, 1.0, 1.0])
 
 
 def test_build_a_rejects_overfull():
     with pytest.raises(DomainError):
-        simulate.build_A(MODEL_D1_C1, SpikeSpec((4.0,), (3,)), 2, 8)
-
-
-def test_sigma_zero_returns_signal_spectrum_exactly():
-    p = ModelParams(sigma=0.0, c=0.5, nu=TWO_ATOMS)
-    cfg = SimConfig(n=6, N=12, model=p, seed=1)
-    s = simulate.sample_eigenvalues(cfg, 0)
-    signal = spikes.signal_eigenvalues(p, SpikeSpec(), 6)
-    assert np.array_equal(s.eigenvalues, np.sort(signal)[::-1])
+        simulate.build_A(MODEL_D1_C1, SpikeSpec((4.0,), (3,)), 2)
 
 
 def test_streams_are_deterministic_and_trial_dependent():
@@ -100,7 +98,7 @@ def test_gram_eigenvalues_match_squared_singular_values(model, n, N, dist):
     Y = simulate._noise(simulate._trial_rng(cfg.seed, 1), (n, N), dist) * (
         model.sigma / math.sqrt(N))
     idx = np.arange(n)
-    Y[idx, idx] += simulate.build_A(model, cfg.spikes, n, N)
+    Y[idx, idx] += simulate.build_A(model, cfg.spikes, n)
     oracle = np.linalg.svd(Y, compute_uv=False) ** 2
     ev = simulate.sample_eigenvalues(cfg, 1).eigenvalues
     assert ev.shape == (n,) and ev.dtype == np.float64
@@ -145,15 +143,6 @@ def test_separation_rank_sandwich():
     for t, s in enumerate(samples):
         if rep.a_count_ok and rep.m_count_ok[t]:
             assert int(np.sum(s.eigenvalues > b)) == rep.i_N
-
-
-def test_separation_sigma_zero_trivial():
-    p = ModelParams(sigma=0.0, c=0.5, nu=TWO_ATOMS)
-    cfg = SimConfig(n=20, N=40, model=p, seed=0, trials=2)
-    rep = simulate.verify_separation(cfg, (2.0, 4.0), simulate.run_trials(cfg))
-    assert rep.pass_fraction == 1.0
-    assert rep.i_N == 10
-    assert rep.omega_gap == (2.0, 4.0)
 
 
 def test_separation_gap_inside_support_rejected():
@@ -311,14 +300,6 @@ def test_extreme_eigenvalue_windows_at_production_size():
 def test_empirical_cdf_distance_small():
     cfg = SimConfig(n=400, N=400, model=MODEL_D1_C1, seed=17, trials=3)
     assert simulate.empirical_cdf_distance(cfg.model, simulate.run_trials(cfg)) <= 0.05
-
-
-def test_empirical_cdf_distance_sigma_zero_nan():
-    p = ModelParams(sigma=0.0, c=1.0, nu=DELTA1)
-    cfg = SimConfig(n=10, N=10, model=p, seed=0)
-    with pytest.warns(UserWarning):
-        out = simulate.empirical_cdf_distance(p, simulate.run_trials(cfg))
-    assert math.isnan(out)
 
 
 def test_eigensolver_failure_carries_trial_index(monkeypatch):

@@ -27,6 +27,11 @@ def test_spike_spec_validation():
             SpikeSpec(thetas=(bad,), multiplicities=(1,))
     with pytest.raises(DomainError):
         SpikeSpec(thetas=(4.0,), multiplicities=(0,))
+    # a multiplicity is never truncated: non-integral or non-finite values fail
+    for bad in (1.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            SpikeSpec(thetas=(4.0,), multiplicities=(bad,))
+    assert SpikeSpec((4.0,), (2.0,)).multiplicities == (2,)
     assert SpikeSpec().r == 0
     assert SpikeSpec((5.0, 2.0), (2, 3)).r == 5
 

@@ -96,14 +96,6 @@ def test_solve_g_just_inside_every_support_edge(p):
             assert -sol.g.imag / math.pi == pytest.approx(f, rel=1e-5)
 
 
-def test_solve_g_sigma_zero_degenerates_to_nu():
-    p = ModelParams(sigma=0.0, c=1.0, nu=DELTA1)
-    z = complex(3.0, 0.5)
-    sol = stieltjes.solve_g(p, z)
-    assert sol.g == measure.g_nu(DELTA1, z)
-    assert sol.iterations == 0
-
-
 # ---------------------------------------------------------------------------
 # density
 # ---------------------------------------------------------------------------

@@ -22,13 +22,6 @@ from conftest import (ALL_MODELS, DELTA1, DELTA2, FIVE_MODELS, MODEL_D1_C1, MODE
 # phi and phi_prime
 # ---------------------------------------------------------------------------
 
-def test_phi_is_identity_at_sigma_zero():
-    p = ModelParams(sigma=0.0, c=0.7, nu=TWO_ATOMS)
-    for x in (-2.0, 0.5, 3.0, 9.0):
-        assert subordination.phi(p, x) == pytest.approx(x, abs=1e-15)
-        assert subordination.phi_prime(p, x) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_phi_closed_form_point_mass_half():
     # (1 + 0.5*g)^2 * x + 0.5*(1 + 0.5*g) with g = 1/(x-2) at x = 1/2
     assert subordination.phi(MODEL_D2_HALF, 0.5) == pytest.approx(5.0 / 9.0,
@@ -173,11 +166,6 @@ def test_admissible_set_shrinks_onto_support_at_small_sigma():
     v1, v2 = adm.v
     assert u1 < 1.0 < v1 and abs(u1 - 1.0) < 1e-3 and abs(v1 - 1.0) < 1e-3
     assert u2 < 5.0 < v2 and abs(u2 - 5.0) < 1e-3 and abs(v2 - 5.0) < 1e-3
-
-
-def test_admissible_set_requires_positive_sigma():
-    with pytest.raises(DomainError):
-        subordination.admissible_set(ModelParams(sigma=0.0, c=1.0, nu=DELTA1))
 
 
 def test_admissible_complement_covers_support():
@@ -503,6 +491,8 @@ def test_model_params_validation():
         ModelParams(sigma=1.0, c=1.5, nu=DELTA1)
     with pytest.raises(ValueError):
         ModelParams(sigma=-1.0, c=0.5, nu=DELTA1)
+    with pytest.raises(ValueError, match="positive"):
+        ModelParams(sigma=0.0, c=0.5, nu=DELTA1)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             ModelParams(sigma=bad, c=0.5, nu=DELTA1)
