@@ -90,7 +90,11 @@ def _sim(cfg: dict) -> SimConfig:
 
 def _gap(cfg: dict) -> tuple[float, float] | None:
     raw = cfg["separation"]
-    return (float(raw["gap"][0]), float(raw["gap"][1])) if "gap" in raw else None
+    if "gap" not in raw:
+        return None
+    if len(raw["gap"]) != 2:
+        raise ValueError(f"separation.gap must be two numbers A B, got {raw['gap']!r}")
+    return float(raw["gap"][0]), float(raw["gap"][1])
 
 
 def _jsonable(obj):
@@ -153,7 +157,8 @@ def _cmd_spikes(args: argparse.Namespace, cfg: dict, model: ModelParams,
                 spec: SpikeSpec) -> int:
     n = cfg["sim"].get("n")  # the matrix size verify-all ranks against
     outcomes = spikes_mod.classify(model, spec)
-    ranks = spikes_mod.spike_ranks(model, spec, None if n is None else int(n))
+    ranks = spikes_mod.spike_ranks(model, spec,
+                                   None if n is None else simulate.as_int("n", n))
     records = [{**outcome.to_dict(), "ranks": [start, start + k - 1]}
                for outcome, k, start in zip(outcomes, spec.multiplicities, ranks)]
     _emit_report({"command": "spikes", "model": model.to_dict(),

@@ -105,10 +105,10 @@ class MeasureSpec:
 
 @dataclass(frozen=True)
 class SupportComponents:
-    """Ordered disjoint closed intervals whose union is the support of a measure.
-
-    Atoms appear as degenerate intervals unless they merge (within ``ATOL``)
-    into an adjacent segment.
+    """Ordered disjoint closed intervals: supp(nu) (``support_of``; atoms are
+    degenerate intervals unless they merge within ``ATOL`` into a segment),
+    the admissible-set complement (``subordination.AdmissibleSet``) or the
+    support of the limit law (``subordination.SupportResult``).
     """
 
     intervals: tuple[tuple[float, float], ...]
@@ -136,13 +136,16 @@ class SupportComponents:
         out.append((self.intervals[-1][1], math.inf))
         return out
 
+    def interval_index(self, x: float) -> int | None:
+        """Index into ``intervals`` of the one holding x; None in a gap."""
+        k = bisect_right(self.intervals, x, key=lambda iv: iv[0]) - 1
+        return k if k >= 0 and x <= self.intervals[k][1] else None
+
     def gap_index(self, x: float) -> int | None:
         """Index into ``gaps()`` of the open gap holding x; None when x lies
         on one of the closed intervals (endpoints included)."""
         k = bisect_right(self.intervals, x, key=lambda iv: iv[0])
-        if k and x <= self.intervals[k - 1][1]:
-            return None
-        return k
+        return None if k and x <= self.intervals[k - 1][1] else k
 
 
 @functools.lru_cache(maxsize=None)

@@ -44,6 +44,14 @@ ENTRY_DISTS = ("complex-gaussian", "real-gaussian", "rademacher-complex")
 _MASK64 = (1 << 64) - 1
 
 
+def as_int(name: str, value) -> int:
+    """``value`` as an int; ValueError for a non-integral or infinite float,
+    which ``int`` would truncate or fail on."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One reproducible Monte Carlo experiment."""
@@ -58,10 +66,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         for name in ("n", "N", "seed", "trials"):
-            value = getattr(self, name)
-            if isinstance(value, float) and not value.is_integer():
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if not 1 <= self.n <= self.N:
             raise ValueError(f"need 1 <= n <= N, got n={self.n}, N={self.N}")
         if self.entry_dist not in ENTRY_DISTS:
@@ -173,7 +178,7 @@ def separation_gaps(model: ModelParams, spikes: SpikeSpec
     sup = subordination.support(model)
     cuts = sorted(o.limit for o in spikes_mod.classify(model, spikes)
                   if o.case_tag == spikes_mod.OUTLIER)
-    gaps = sup.components.gaps()
+    gaps = sup.gaps()
     if sup.admissible.u[0] > 0.0 and not sup.zero_in_support:
         gaps[0] = (subordination.phi(model, 0.0), gaps[0][1])
     else:
@@ -200,9 +205,9 @@ def omega_gap(model: ModelParams, gap: tuple[float, float]) -> tuple[float, floa
     a, b = float(gap[0]), float(gap[1])
     if not a < b:
         raise PreconditionError(f"gap must satisfy a < b, got {gap!r}")
-    comps = subordination.support(model).components
-    k = comps.gap_index(a)
-    if k is None or comps.gap_index(b) != k:
+    sup = subordination.support(model)
+    k = sup.gap_index(a)
+    if k is None or sup.gap_index(b) != k:
         raise PreconditionError("gap overlaps the computed support")
     omega_a = subordination.omega(model, a)
     omega_b = math.inf if b == math.inf else subordination.omega(model, b)
@@ -260,7 +265,7 @@ def _verification_grid(sup: subordination.SupportResult) -> list[float]:
     if lo0 > 0.0:
         pts.extend(lo0 * f for f in (0.25, 0.5, 0.75))
     pts.extend(lo0 - span * f for f in (0.25, 0.75))
-    for a_hi, b_lo in sup.components.gaps()[1:-1]:
+    for a_hi, b_lo in sup.gaps()[1:-1]:
         width = b_lo - a_hi
         pts.extend(a_hi + width * f for f in (0.2, 0.5, 0.8))
     hi_last = sup.intervals[-1][1]
@@ -278,9 +283,15 @@ def verify_all(sim: SimConfig, gap: tuple[float, float] | None,
     the widest inner piece of ``separation_gaps`` (a gap between two support
     intervals, cut at the outlier limits) is used, and separation is skipped
     when the support is one interval.  ``checks`` overrides entries of
-    ``DEFAULT_CHECKS``.  The report's ``all_pass`` is false when any check
-    fails.
+    ``DEFAULT_CHECKS``; other names, and values that are not real numbers
+    (bools, NaN), raise ValueError first.  ``all_pass`` is false when any
+    check fails.
     """
+    bad = {k: v for k, v in checks.items() if k not in DEFAULT_CHECKS
+           or isinstance(v, bool) or not isinstance(v, (int, float)) or math.isnan(v)}
+    if bad:
+        raise ValueError(f"checks {bad} need names in {sorted(DEFAULT_CHECKS)} "
+                         "and real-number values (not bool or NaN)")
     model = sim.model
     checks_cfg = {**DEFAULT_CHECKS, **checks}
     results: list[dict] = []
@@ -314,9 +325,8 @@ def verify_all(sim: SimConfig, gap: tuple[float, float] | None,
                     "h_tolerance": checks_cfg["h_tolerance"]})
 
     masses = stieltjes.interval_masses(model)
-    adm = sup.admissible
-    worst_mass = max(abs(m - measure.mass_between(model.nu, adm.u[l], adm.v[l]))
-                     for l, m in enumerate(masses))
+    worst_mass = max(abs(m - measure.mass_between(model.nu, u, v))
+                     for m, (u, v) in zip(masses, sup.admissible.intervals))
     tol = checks_cfg["mass_tolerance"]
     results.append({"name": "mass_equality",
                     "status": "pass" if worst_mass <= tol else "fail",

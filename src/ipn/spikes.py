@@ -100,25 +100,25 @@ def classify(p: ModelParams, s: SpikeSpec) -> list[SpikeOutcome]:
     sup = subordination.support(p)
     adm = sup.admissible
     comps = measure.support_of(p.nu)
-    inside_by_l = subordination.nu_components_inside(adm, comps)
     out: list[SpikeOutcome] = []
     for theta in s.thetas:
         if comps.distance(theta) <= measure.ATOL:
             raise DomainError(f"spike {theta!r} lies on supp(nu)")
-        if adm.distance_to_boundary(theta) < BOUNDARY_GUARD:
+        if min(abs(theta - b) for iv in adm.intervals for b in iv) < BOUNDARY_GUARD:
             raise AmbiguousSpike(
                 f"spike {theta!r} is within {BOUNDARY_GUARD} of an "
                 "admissible-set boundary")
-        l = adm.locate_complement(theta)
+        l = adm.interval_index(theta)
         if l is None:  # theta is admissible
             out.append(SpikeOutcome(theta=theta, case_tag=OUTLIER,
                                     limit=subordination.phi(p, theta)))
             continue
-        inside = inside_by_l[l]
-        if theta > max(hi for _, hi in inside):
+        u_l, v_l = adm.intervals[l]
+        inside = [iv for iv in comps.intervals if u_l <= iv[0] and iv[1] <= v_l]
+        if theta > inside[-1][1]:
             out.append(SpikeOutcome(theta=theta, case_tag=RIGHT_EDGE,
                                     limit=sup.intervals[l][1]))
-        elif theta < min(lo for lo, _ in inside):
+        elif theta < inside[0][0]:
             if l == 0 and sup.zero_in_support:
                 out.append(SpikeOutcome(theta=theta, case_tag=ZERO, limit=0.0))
             else:

@@ -292,11 +292,10 @@ def _interval_cdf(p: ModelParams, lo: float, hi: float, below: float,
 @functools.lru_cache(maxsize=None)
 def _cdf_data(p: ModelParams) -> tuple[_IntervalCdf, ...]:
     sup = subordination.support(p)
-    adm = sup.admissible
     out = []
     left = 0.0
-    for l, (lo, hi) in enumerate(sup.intervals):
-        nu_mass = measure.mass_between(p.nu, adm.u[l], adm.v[l])
+    for (lo, hi), (u_l, v_l) in zip(sup.intervals, sup.admissible.intervals):
+        nu_mass = measure.mass_between(p.nu, u_l, v_l)
         out.append(_interval_cdf(p, lo, hi, min(left, 1.0), min(left + nu_mass, 1.0)))
         left += nu_mass
     return tuple(out)

@@ -12,7 +12,9 @@ threshold -1/(sigma^2 c).  Its canonical form is a finite union of open
 intervals whose complement [u_1,v_1], ..., [u_p,v_p] covers supp(nu); the
 support of the limit law is the image of those complement intervals under
 ``phi``.  Each boundary lies in a gap of supp(nu), so ``phi`` is analytic
-there and the support edges are phi(u_l) and phi(v_l).
+there and the support edges are phi(u_l) and phi(v_l).  These three interval
+sets, supp(nu), the [u_l, v_l] (``AdmissibleSet``) and the support
+(``SupportResult``), are each a ``measure.SupportComponents``.
 
 No step searches for a bracket.  With [m, M] the hull of supp(nu), which
 lies in [0, inf), and r = sigma (1 + sqrt(c)), Weyl's inequality for
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,69 +78,28 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class AdmissibleSet:
-    """Boundaries u_1 < v_1 < ... < u_p < v_p of the admissible set.
+class AdmissibleSet(measure.SupportComponents):
+    """The complement intervals [u_1,v_1], ..., [u_p,v_p] of the admissible set.
 
-    The set itself is (-inf,u_1) U (v_1,u_2) U ... U (v_p,+inf); the closed
-    intervals [u_l,v_l] of the complement each meet supp(nu) and together
-    cover it.  ``complement`` holds them as ``SupportComponents``, whose
-    gaps are the components of the admissible set.
+    The set itself is (-inf,u_1) U (v_1,u_2) U ... U (v_p,+inf), the
+    ``gaps()``; the closed intervals each meet supp(nu) and together cover it.
     """
-
-    boundaries: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        b = tuple(float(x) for x in self.boundaries)
-        object.__setattr__(self, "boundaries", b)
-        if len(b) < 2 or len(b) % 2:
-            raise ValueError("boundaries must be u_1,v_1,...,u_p,v_p")
-        if any(x >= y for x, y in zip(b, b[1:])):
-            raise ValueError("boundaries must be strictly increasing")
-
-    @property
-    def p(self) -> int:
-        return len(self.boundaries) // 2
 
     @property
     def u(self) -> tuple[float, ...]:
-        return self.boundaries[0::2]
+        return tuple(u for u, _ in self.intervals)
 
     @property
     def v(self) -> tuple[float, ...]:
-        return self.boundaries[1::2]
-
-    @functools.cached_property
-    def complement(self) -> measure.SupportComponents:
-        return measure.SupportComponents(tuple(zip(self.u, self.v)))
-
-    def components(self) -> list[tuple[float, float]]:
-        """Open intervals of the admissible set, outermost ones unbounded."""
-        return self.complement.gaps()
-
-    def contains(self, x: float) -> bool:
-        return self.complement.gap_index(x) is not None
-
-    def locate_complement(self, x: float) -> int | None:
-        """Index l (0-based) with u_l <= x <= v_l, or None."""
-        if self.contains(x):
-            return None
-        return bisect_right(self.u, x) - 1
-
-    def distance_to_boundary(self, x: float) -> float:
-        return min(abs(x - b) for b in self.boundaries)
+        return tuple(v for _, v in self.intervals)
 
 
 @dataclass(frozen=True)
-class SupportResult:
+class SupportResult(measure.SupportComponents):
     """Support intervals of the limit law plus the zero-membership flag."""
 
-    intervals: tuple[tuple[float, float], ...]
     zero_in_support: bool
     admissible: AdmissibleSet
-
-    @functools.cached_property
-    def components(self) -> measure.SupportComponents:
-        return measure.SupportComponents(self.intervals)
 
     def to_dict(self) -> dict:
         return {
@@ -356,8 +316,9 @@ def admissible_set(p: ModelParams) -> AdmissibleSet:
     ``_window`` proves holds its boundary.  Sign changes of phi' and the
     single crossing of g_nu with -1/(sigma^2 c) are bracketed, and
     boundaries are refined inside their brackets (bisection on phi', Newton
-    on g_nu) to absolute 1e-11.  Raises ConvergenceError if a gap's sign
-    pattern does not have the canonical form on that grid.
+    on g_nu) to absolute 1e-11.  Raises ConvergenceError unless the result
+    has the canonical form: boundaries strictly increasing, each component
+    of supp(nu) inside one [u_l, v_l], each [u_l, v_l] holding one or more.
     """
     comps = measure.support_of(p.nu)
     good: list[tuple[float, float]] = []
@@ -366,30 +327,25 @@ def admissible_set(p: ModelParams) -> AdmissibleSet:
     good.sort()
     if len(good) < 2 or not math.isinf(good[0][0]) or not math.isinf(good[-1][1]):
         raise ConvergenceError("admissible set does not have the canonical form")
-    boundaries: list[float] = []
-    for (_, u_l), (v_l, _) in zip(good, good[1:]):
-        boundaries.extend((u_l, v_l))
-    adm = AdmissibleSet(boundaries=tuple(boundaries))
-    inside = nu_components_inside(adm, comps)
-    if sum(map(len, inside)) != len(comps.intervals):
+    adm = AdmissibleSet(tuple((u_l, v_l)
+                              for (_, u_l), (v_l, _) in zip(good, good[1:])))
+    if not _increasing(adm.intervals):
+        raise ConvergenceError("admissible-set boundaries are not strictly increasing")
+    homes = [adm.interval_index(lo) for lo, _ in comps.intervals]
+    if any(l is None or adm.interval_index(hi) != l
+           for l, (_, hi) in zip(homes, comps.intervals)):
         raise ConvergenceError(
             "a component of supp(nu) escaped the admissible-set complement")
-    if not all(inside):
+    if set(homes) != set(range(len(adm.intervals))):
         raise ConvergenceError(
             "an admissible-set complement interval misses supp(nu)")
     return adm
 
 
-def nu_components_inside(adm: AdmissibleSet, comps: measure.SupportComponents
-                         ) -> list[list[tuple[float, float]]]:
-    """For each complement interval [u_l, v_l], the components of supp(nu)
-    (given as ``comps``) that it contains, in order."""
-    out: list[list[tuple[float, float]]] = [[] for _ in range(adm.p)]
-    for lo, hi in comps.intervals:
-        l = adm.locate_complement(lo)
-        if l is not None and hi <= adm.v[l]:
-            out[l].append((lo, hi))
-    return out
+def _increasing(intervals) -> bool:
+    """Whether lo_1 < hi_1 < lo_2 < ... < hi_p: none degenerate, none touching."""
+    ends = [x for iv in intervals for x in iv]
+    return all(a < b for a, b in zip(ends, ends[1:]))
 
 
 def zero_in_support(p: ModelParams) -> bool:
@@ -421,17 +377,13 @@ def support(p: ModelParams) -> SupportResult:
     adm = admissible_set(p)
     zero = zero_in_support(p)
     intervals: list[tuple[float, float]] = []
-    for u_l, v_l in adm.complement.intervals:
+    for u_l, v_l in adm.intervals:
         lo, hi = phi(p, u_l), phi(p, v_l)
         if abs(lo) <= 1e-9 and (zero or lo < 0.0):
             lo = 0.0
         intervals.append((lo, hi))
-    for lo, hi in intervals:
-        if not lo < hi:
-            raise ConvergenceError("degenerate support interval computed")
-    for (_, hi_a), (lo_b, _) in zip(intervals, intervals[1:]):
-        if not hi_a < lo_b:
-            raise ConvergenceError("support intervals are not separated")
+    if not _increasing(intervals):
+        raise ConvergenceError("support intervals are degenerate or not separated")
     if p.c < 1.0 and intervals[0][0] < 0.0:
         raise ConvergenceError("support minimum must not be negative for c < 1")
     return SupportResult(intervals=tuple(intervals), zero_in_support=zero,
@@ -449,10 +401,10 @@ def omega(p: ModelParams, x: float) -> float:
     most 1e-10 * max(1, |x|).
     """
     sup = support(p)
-    k = sup.components.gap_index(x)
+    k = sup.gap_index(x)
     if k is None:
         raise DomainError(f"x={x!r} lies in the support of the limit law")
-    lo_b, hi_b = sup.admissible.components()[k]
+    lo_b, hi_b = sup.admissible.gaps()[k]
     if math.isinf(hi_b):
         hi_b = x  # x > phi(v_p) > v_p, and phi(x) > x by (F1)
     if math.isinf(lo_b):
@@ -487,7 +439,7 @@ def k_transform(p: ModelParams, x: float) -> float:
     if not p.c < 1.0:
         raise DomainError("the K transform is defined for c < 1 only")
     aux = ModelParams(sigma=p.sigma * math.sqrt(p.c), c=1.0, nu=p.nu)
-    if support(aux).components.gap_index(x) is None:
+    if support(aux).gap_index(x) is None:
         raise DomainError(f"x={x!r} lies in the companion support")
     from . import stieltjes
 

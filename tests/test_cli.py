@@ -104,7 +104,8 @@ def test_nan_sigma_exits_one(monkeypatch, capsys):
 
 @pytest.mark.parametrize("section, field, bad", [
     ("sim", "n", float("inf")), ("sim", "trials", 2.5),
-    ("spikes", "multiplicities", [float("inf")])], ids=["n", "trials", "mult"])
+    ("spikes", "multiplicities", [float("inf")]), ("sim", "n", 20.5)],
+    ids=["n", "trials", "mult", "n_fraction"])
 def test_non_integral_config_integer_exits_one(tmp_path, capsys, section,
                                                field, bad):
     data = read_json(small_config(tmp_path, spikes={"thetas": [4.0],
@@ -112,8 +113,33 @@ def test_non_integral_config_integer_exits_one(tmp_path, capsys, section,
     data[section][field] = bad
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))  # inf is written as Infinity
-    assert run_cli(["simulate", "--config", str(path)]) == 1  # nothing raised
+    # spikes reads no trials; it ranks against sim.n
+    commands = ["simulate"] if field == "trials" else ["simulate", "spikes"]
+    for command in commands:
+        assert run_cli([command, "--config", str(path)]) == 1  # nothing raised
+        assert capsys.readouterr().err.startswith("validation error: ")
+
+
+@pytest.mark.parametrize("gap", [[2.0], [6.76, 6.8, 99.0]], ids=["one", "three"])
+def test_separation_gap_of_two_numbers(tmp_path, monkeypatch, capsys, gap):
+    calls = count_samples(monkeypatch)
+    cfg = small_config(tmp_path, separation={"gap": gap})
+    assert run_cli(["separation", "--config", cfg]) == 1  # nothing raised
+    assert capsys.readouterr().err.startswith(
+        "validation error: separation.gap must be two numbers")
+    assert calls == []
+
+
+@pytest.mark.parametrize("checks", [
+    {"ks_treshold": 0.03}, {"ks_threshold": "0.03"}, {"ks_threshold": True},
+    {"mass_tolerance": float("nan")}], ids=["misspelt", "string", "bool", "nan"])
+def test_bad_checks_exit_one_before_sampling(tmp_path, monkeypatch, capsys,
+                                             checks):
+    calls = count_samples(monkeypatch)
+    cfg = small_config(tmp_path, checks=checks)
+    assert run_cli(["verify-all", "--config", cfg]) == 1  # nothing raised
     assert capsys.readouterr().err.startswith("validation error: ")
+    assert calls == []
 
 
 def test_unknown_flag_exits_one():

@@ -305,10 +305,11 @@ def test_gap_index_matches_scan(m, extra):
     ends = [x for iv in comps.intervals for x in iv]
     mids = [0.5 * (lo + hi) for lo, hi in gaps[1:-1]]
     for x in ends + mids + extra + [comps.min - 1.0, comps.max + 1.0]:
-        on = any(lo <= x <= hi for lo, hi in comps.intervals)
+        on = [l for l, (lo, hi) in enumerate(comps.intervals) if lo <= x <= hi]
         want = None if on else next(k for k, (lo, hi) in enumerate(gaps)
                                     if lo < x < hi)
         assert comps.gap_index(x) == want, x
+        assert comps.interval_index(x) == (on[0] if on else None), x
 
 
 @given(measures())

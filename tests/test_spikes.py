@@ -109,7 +109,7 @@ def test_outlier_limits_outside_support_and_monotone():
     sup = subordination.support(MODEL_D1_C1)
     limits = [o.limit for o in outs]
     assert all(o.case_tag == spikes.OUTLIER for o in outs)
-    assert all(sup.components.distance(v) > 0.0 for v in limits)
+    assert all(sup.distance(v) > 0.0 for v in limits)
     assert limits[0] > limits[1] > limits[2]
 
 
