@@ -11,6 +11,13 @@ so trials are reproducible.  Each experiment is sampled once by
 ``run_trials``; every check (separation, outliers, KS, and the
 ``verify_all`` suite) is a function over that list of samples.
 
+``run_trials`` runs the trials side by side in spawned worker processes, at
+most one per usable CPU, and every trial's linear algebra runs on one BLAS
+thread.  Sample bytes therefore depend on neither the worker count nor the
+caller's BLAS thread setting.  Spawned workers re-import the calling script,
+so a script that calls ``run_trials`` needs an ``if __name__ == "__main__":``
+guard.
+
 ``separation_gaps`` is the one map of where exact separation applies: every
 gap of the computed support with omega > 0, cut at the outlier limits.
 Every default separation window is the middle 40% of one of its bounded
@@ -20,6 +27,7 @@ pieces (``middle_window``).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +50,9 @@ DEFAULT_CHECKS = {
 ENTRY_DISTS = ("complex-gaussian", "real-gaussian", "rademacher-complex")
 
 _MASK64 = (1 << 64) - 1
+
+# read by OpenBLAS, OpenMP and MKL when a worker loads numpy
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def as_int(name: str, value) -> int:
@@ -159,10 +170,54 @@ def sample_eigenvalues(cfg: SimConfig, trial: int,
     return EigenSample(eigenvalues=evals[::-1].copy(), trial_index=trial)
 
 
-def run_trials(cfg: SimConfig) -> list[EigenSample]:
-    """All trials of the experiment, sharing one signal matrix."""
+def _sample_trial(cfg: SimConfig, trial: int, d: np.ndarray) -> EigenSample:
+    """One trial in a pool worker.  Module-level, so it pickles by name; the
+    worker then calls its own ``sample_eigenvalues``, and a wrapper set on
+    this process's module (a tracer's, say) is never pickled."""
+    return sample_eigenvalues(cfg, trial, d)
+
+
+def _worker_count(trials: int, workers: int | None = None) -> int:
+    """Workers ``run_trials`` starts: one per usable CPU, at most one per
+    trial, and at most ``workers`` when given."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(cpus, trials, workers or trials)
+
+
+def run_trials(cfg: SimConfig, *, workers: int | None = None) -> list[EigenSample]:
+    """All trials of the experiment, sharing one signal matrix, in trial order.
+
+    The trials run on a pool of ``_worker_count(cfg.trials, workers)`` spawned
+    processes that lives for this call only: it is shut down before the call
+    returns or raises, and a worker that dies raises ``BrokenProcessPool``
+    (never retried).  Workers start with one BLAS thread each, so every
+    trial's bytes are those of a one-thread eigensolve whatever the worker
+    count; the caller's environment is restored once they have started.
+    The first failing trial's error is raised.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     d = build_A(cfg.model, cfg.spikes, cfg.n)
-    return [sample_eigenvalues(cfg, t, d) for t in range(cfg.trials)]
+    pool = ProcessPoolExecutor(_worker_count(cfg.trials, workers),
+                               mp_context=multiprocessing.get_context("spawn"))
+    try:
+        saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        try:  # with spawn, each submission starts a worker until the pool is full
+            futures = [pool.submit(_sample_trial, cfg, t, d) for t in range(cfg.trials)]
+        finally:
+            for var, value in saved.items():
+                if value is None:
+                    os.environ.pop(var, None)
+                else:
+                    os.environ[var] = value
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def separation_gaps(model: ModelParams, spikes: SpikeSpec

@@ -22,16 +22,33 @@ def run_cli(args):
     return cli.run(args)
 
 
-def count_samples(monkeypatch) -> list[int]:
-    """Record the trial index of every sample_eigenvalues call."""
-    calls: list[int] = []
-    real = simulate.sample_eigenvalues
+def count_samples(monkeypatch) -> list[list[int]]:
+    """Record every run_trials call, with the trial indices it returns.
 
-    def counting(cfg, trial, *args):
-        calls.append(trial)
-        return real(cfg, trial, *args)
-    monkeypatch.setattr(simulate, "sample_eigenvalues", counting)
+    ``run_trials`` is the one sampling path; its trials run in spawned
+    workers, which a patch in this process does not reach.  A call is
+    recorded before it samples, so one that raises still shows.
+    """
+    calls: list[list[int]] = []
+    real = simulate.run_trials
+
+    def counting(cfg, **kwargs):
+        trials: list[int] = []
+        calls.append(trials)
+        samples = real(cfg, **kwargs)
+        trials.extend(s.trial_index for s in samples)
+        return samples
+    monkeypatch.setattr(simulate, "run_trials", counting)
     return calls
+
+
+def _sample_with_failing_eigensolver(cfg, trial, d):
+    """Stands in for ``simulate._sample_trial`` in the pool workers: the
+    worker's own eigensolver fails, then the real trial runs."""
+    def boom(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+    np.linalg.eigvalsh = boom  # the worker exits with run_trials
+    return simulate._sample_trial(cfg, trial, d)
 
 
 def read_json(path):
@@ -184,9 +201,9 @@ def test_library_key_error_is_not_a_config_error(monkeypatch, capsys):
 
 
 def test_failed_decomposition_exits_two(tmp_path, monkeypatch, capsys):
-    def boom(*args, **kwargs):
-        raise np.linalg.LinAlgError("did not converge")
-    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+    # the LinAlgError is raised inside a spawned worker, on the pool path
+    # every command samples through
+    monkeypatch.setattr(simulate, "_sample_trial", _sample_with_failing_eigensolver)
     code = run_cli(["simulate", "--config", small_config(tmp_path),
                     "--n", "8", "--N", "8", "--output", str(tmp_path / "t.jsonl")])
     assert code == 2
@@ -301,7 +318,7 @@ def test_verify_all_samples_each_trial_once(tmp_path, monkeypatch):
     sep = next(c for c in read_json(str(out))["checks"]
                if c["name"] == "separation")
     assert sep["status"] != "skipped"
-    assert calls == [0, 1, 2]  # separation, outlier and KS share the samples
+    assert calls == [[0, 1, 2]]  # separation, outlier and KS share the samples
 
 
 def test_verify_all_small_passes(tmp_path):

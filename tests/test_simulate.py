@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -28,6 +31,22 @@ def inclusion_passes(cfg, epsilon, samples) -> list[bool]:
             passed = [p and rep.a_count_ok and m
                       for p, m in zip(passed, rep.m_count_ok)]
     return passed
+
+
+def _blas_threads_in_worker(cfg, trial, d):
+    """Stands in for ``simulate._sample_trial``: a worker's BLAS thread
+    variables."""
+    return trial, {var: os.environ.get(var) for var in simulate._BLAS_THREAD_VARS}
+
+
+def _fail_trial_one_in_worker(cfg, trial, d):
+    if trial == 1:
+        raise np.linalg.LinAlgError("eigendecomposition failed on trial 1")
+    return simulate._sample_trial(cfg, trial, d)
+
+
+def _die_in_worker(cfg, trial, d):
+    os._exit(1)
 
 
 def test_config_validation():
@@ -303,9 +322,69 @@ def test_empirical_cdf_distance_small():
 
 
 def test_eigensolver_failure_carries_trial_index(monkeypatch):
+    # in process: sample_eigenvalues names the trial and chains the cause
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
     monkeypatch.setattr(np.linalg, "eigvalsh", boom)
-    cfg = SimConfig(n=8, N=8, model=MODEL_D1_C1, seed=0)
-    with pytest.raises(np.linalg.LinAlgError, match="trial 0"):
-        simulate.sample_eigenvalues(cfg, 0)
+    cfg = SimConfig(n=8, N=8, model=MODEL_D1_C1, seed=0, trials=4)
+    for trial in (0, 3):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=f"trial {trial}: did not converge") as info:
+            simulate.sample_eigenvalues(cfg, trial)
+        assert str(info.value.__cause__) == "did not converge"
+
+
+def test_worker_count_is_capped_by_cpus_and_trials(monkeypatch):
+    # the count alone: no worker is started here
+    cpus = len(os.sched_getaffinity(0))
+    assert simulate._worker_count(1) == 1
+    assert simulate._worker_count(10**6) == cpus
+    assert simulate._worker_count(10**6, workers=1) == 1
+    assert simulate._worker_count(3, workers=10**6) == min(cpus, 3)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        simulate._worker_count(3, workers=0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert [simulate._worker_count(t) for t in (1, 40, 64, 10**6)] == [1, 40, 64, 64]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+    assert simulate._worker_count(40) == 1
+
+
+@pytest.mark.skipif(simulate._worker_count(2) < 2, reason="needs two usable CPUs")
+def test_trial_bytes_independent_of_worker_count():
+    cfg = SimConfig(n=100, N=200, model=MODEL_SPLIT, seed=19, trials=5,
+                    spikes=SpikeSpec((9.0,), (1,)))
+    one = simulate.run_trials(cfg, workers=1)
+    two = simulate.run_trials(cfg, workers=2)
+    assert [s.trial_index for s in two] == list(range(5))
+    assert [s.eigenvalues.tobytes() for s in one] == [s.eigenvalues.tobytes() for s in two]
+
+
+def test_workers_start_on_one_blas_thread(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    monkeypatch.setattr(simulate, "_sample_trial", _blas_threads_in_worker)
+    cfg = SimConfig(n=4, N=4, model=MODEL_D1_C1, trials=3)
+    one = dict.fromkeys(simulate._BLAS_THREAD_VARS, "1")
+    assert simulate.run_trials(cfg) == [(t, one) for t in range(3)]
+    # the caller's own environment is as it was
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    assert "OMP_NUM_THREADS" not in os.environ
+    assert os.environ["MKL_NUM_THREADS"] == "3"
+
+
+def test_no_worker_outlives_run_trials(monkeypatch):
+    cfg = SimConfig(n=8, N=8, model=MODEL_D1_C1, seed=0, trials=3)
+    assert len(simulate.run_trials(cfg)) == 3
+    assert multiprocessing.active_children() == []
+
+    monkeypatch.setattr(simulate, "_sample_trial", _fail_trial_one_in_worker)
+    with pytest.raises(np.linalg.LinAlgError, match="trial 1"):
+        simulate.run_trials(cfg)
+    assert multiprocessing.active_children() == []
+
+    # a dead worker is an error, not retried or replaced
+    monkeypatch.setattr(simulate, "_sample_trial", _die_in_worker)
+    with pytest.raises(BrokenProcessPool):
+        simulate.run_trials(cfg)
+    assert multiprocessing.active_children() == []
