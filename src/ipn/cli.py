@@ -6,7 +6,8 @@ Each flag overrides exactly one config field, as ``FLAG_FIELDS`` lists.
 ``separation`` checks the given gap, or without one the middle window of
 every bounded piece of ``simulate.separation_gaps``.
 Exit codes: 0 success, 1 validation error, 2 convergence error, 3 failed
-verification assertion.  The checks themselves live in ``simulate``.
+verification assertion, 4 a sampling worker died.  The checks themselves
+live in ``simulate``.
 """
 
 from __future__ import annotations
@@ -293,6 +294,13 @@ def run(argv: list[str] | None = None) -> int:
             OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        # run_trials has loaded the pool module by the time one of its workers dies
+        from concurrent.futures.process import BrokenProcessPool
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        print(f"sampling worker died: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> int:

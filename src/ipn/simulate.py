@@ -177,20 +177,16 @@ def _sample_trial(cfg: SimConfig, trial: int, d: np.ndarray) -> EigenSample:
     return sample_eigenvalues(cfg, trial, d)
 
 
-def _worker_count(trials: int, workers: int | None = None) -> int:
+def _worker_count(trials: int) -> int:
     """Workers ``run_trials`` starts: one per usable CPU, at most one per
-    trial, and at most ``workers`` when given."""
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers!r}")
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return min(cpus, trials, workers or trials)
+    trial."""
+    return min(len(os.sched_getaffinity(0)), trials)
 
 
-def run_trials(cfg: SimConfig, *, workers: int | None = None) -> list[EigenSample]:
+def run_trials(cfg: SimConfig) -> list[EigenSample]:
     """All trials of the experiment, sharing one signal matrix, in trial order.
 
-    The trials run on a pool of ``_worker_count(cfg.trials, workers)`` spawned
+    The trials run on a pool of ``_worker_count(cfg.trials)`` spawned
     processes that lives for this call only: it is shut down before the call
     returns or raises, and a worker that dies raises ``BrokenProcessPool``
     (never retried).  Workers start with one BLAS thread each, so every
@@ -202,7 +198,7 @@ def run_trials(cfg: SimConfig, *, workers: int | None = None) -> list[EigenSampl
     from concurrent.futures import ProcessPoolExecutor
 
     d = build_A(cfg.model, cfg.spikes, cfg.n)
-    pool = ProcessPoolExecutor(_worker_count(cfg.trials, workers),
+    pool = ProcessPoolExecutor(_worker_count(cfg.trials),
                                mp_context=multiprocessing.get_context("spawn"))
     try:
         saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}

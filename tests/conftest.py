@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -73,3 +75,8 @@ def off_support_grid(sup, per_gap: int = 8) -> list[float]:
         pts.extend(a_hi + width * f for f in np.linspace(0.15, 0.85, per_gap))
     pts.extend(hi_last + span * f for f in np.linspace(0.05, 2.0, per_gap))
     return sorted(float(x) for x in pts)
+
+
+def die_in_worker(cfg, trial, d):
+    """Stands in for ``simulate._sample_trial``: the pool worker dies."""
+    os._exit(1)

@@ -15,7 +15,7 @@ from ipn import cli, simulate, spikes
 from ipn.errors import ConvergenceError
 from ipn.spikes import SpikeSpec
 
-from conftest import MODEL_D1_C1
+from conftest import MODEL_D1_C1, die_in_worker
 
 
 def run_cli(args):
@@ -32,10 +32,10 @@ def count_samples(monkeypatch) -> list[list[int]]:
     calls: list[list[int]] = []
     real = simulate.run_trials
 
-    def counting(cfg, **kwargs):
+    def counting(cfg):
         trials: list[int] = []
         calls.append(trials)
-        samples = real(cfg, **kwargs)
+        samples = real(cfg)
         trials.extend(s.trial_index for s in samples)
         return samples
     monkeypatch.setattr(simulate, "run_trials", counting)
@@ -210,6 +210,16 @@ def test_failed_decomposition_exits_two(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "convergence error" in err and "Traceback" not in err
     assert "trial 0" in err
+
+
+def test_dead_worker_exits_four(tmp_path, monkeypatch, capsys):
+    # a killed worker is neither bad input (1) nor a convergence failure (2)
+    monkeypatch.setattr(simulate, "_sample_trial", die_in_worker)
+    code = run_cli(["simulate", "--config", small_config(tmp_path),
+                    "--n", "8", "--N", "8", "--output", str(tmp_path / "t.jsonl")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "sampling worker died" in err and "Traceback" not in err
 
 
 def test_density_csv_output(tmp_path):

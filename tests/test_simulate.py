@@ -15,7 +15,8 @@ from ipn.errors import DomainError, PreconditionError
 from ipn.simulate import SimConfig
 from ipn.spikes import SpikeSpec
 
-from conftest import MODEL_D1_C1, MODEL_D2_C1, MODEL_MERGED, MODEL_SPLIT
+from conftest import (MODEL_D1_C1, MODEL_D2_C1, MODEL_MERGED, MODEL_SPLIT,
+                      die_in_worker)
 
 
 def inclusion_passes(cfg, epsilon, samples) -> list[bool]:
@@ -43,10 +44,6 @@ def _fail_trial_one_in_worker(cfg, trial, d):
     if trial == 1:
         raise np.linalg.LinAlgError("eigendecomposition failed on trial 1")
     return simulate._sample_trial(cfg, trial, d)
-
-
-def _die_in_worker(cfg, trial, d):
-    os._exit(1)
 
 
 def test_config_validation():
@@ -339,10 +336,6 @@ def test_worker_count_is_capped_by_cpus_and_trials(monkeypatch):
     cpus = len(os.sched_getaffinity(0))
     assert simulate._worker_count(1) == 1
     assert simulate._worker_count(10**6) == cpus
-    assert simulate._worker_count(10**6, workers=1) == 1
-    assert simulate._worker_count(3, workers=10**6) == min(cpus, 3)
-    with pytest.raises(ValueError, match="workers must be at least 1"):
-        simulate._worker_count(3, workers=0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
     assert [simulate._worker_count(t) for t in (1, 40, 64, 10**6)] == [1, 40, 64, 64]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
@@ -350,11 +343,12 @@ def test_worker_count_is_capped_by_cpus_and_trials(monkeypatch):
 
 
 @pytest.mark.skipif(simulate._worker_count(2) < 2, reason="needs two usable CPUs")
-def test_trial_bytes_independent_of_worker_count():
+def test_trial_bytes_independent_of_worker_count(monkeypatch):
     cfg = SimConfig(n=100, N=200, model=MODEL_SPLIT, seed=19, trials=5,
                     spikes=SpikeSpec((9.0,), (1,)))
-    one = simulate.run_trials(cfg, workers=1)
-    two = simulate.run_trials(cfg, workers=2)
+    two = simulate.run_trials(cfg)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one worker
+    one = simulate.run_trials(cfg)
     assert [s.trial_index for s in two] == list(range(5))
     assert [s.eigenvalues.tobytes() for s in one] == [s.eigenvalues.tobytes() for s in two]
 
@@ -384,7 +378,7 @@ def test_no_worker_outlives_run_trials(monkeypatch):
     assert multiprocessing.active_children() == []
 
     # a dead worker is an error, not retried or replaced
-    monkeypatch.setattr(simulate, "_sample_trial", _die_in_worker)
+    monkeypatch.setattr(simulate, "_sample_trial", die_in_worker)
     with pytest.raises(BrokenProcessPool):
         simulate.run_trials(cfg)
     assert multiprocessing.active_children() == []
