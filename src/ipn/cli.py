@@ -89,6 +89,12 @@ def _sim(cfg: dict) -> SimConfig:
                      trials=fields.get("trials", 10))
 
 
+def _rank_size(cfg: dict) -> int | None:
+    """``sim.n``, the matrix size verify-all ranks spikes against, if given."""
+    n = cfg["sim"].get("n")
+    return None if n is None else simulate.as_int("n", n)
+
+
 def _gap(cfg: dict) -> tuple[float, float] | None:
     raw = cfg["separation"]
     if "gap" not in raw:
@@ -155,11 +161,9 @@ def _cmd_density(args: argparse.Namespace, cfg: dict, model: ModelParams) -> int
 
 
 def _cmd_spikes(args: argparse.Namespace, cfg: dict, model: ModelParams,
-                spec: SpikeSpec) -> int:
-    n = cfg["sim"].get("n")  # the matrix size verify-all ranks against
+                spec: SpikeSpec, n: int | None) -> int:
     outcomes = spikes_mod.classify(model, spec)
-    ranks = spikes_mod.spike_ranks(model, spec,
-                                   None if n is None else simulate.as_int("n", n))
+    ranks = spikes_mod.spike_ranks(model, spec, n)
     records = [{**outcome.to_dict(), "ranks": [start, start + k - 1]}
                for outcome, k, start in zip(outcomes, spec.multiplicities, ranks)]
     _emit_report({"command": "spikes", "model": model.to_dict(),
@@ -259,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--header", action="store_true", help="CSV column header")
 
     sp = command("spikes", "classify spikes and predict limits", _cmd_spikes,
-                 (_model, _spikes), spike)
+                 (_model, _spikes, _rank_size), spike)
     sp.add_argument("--n", type=int, help="matrix size for rank resolution")
 
     sp = command("simulate", "sample eigenvalues (JSON lines)", _cmd_simulate,

@@ -5,11 +5,15 @@ The signal matrix is rectangular diagonal: spiked directions carry
 sqrt(theta_j), the rest carry square roots of deterministic quantiles of nu
 (so the empirical signal spectrum converges to nu with no sampling noise and
 stays uniformly close to supp(nu)).  Eigenvalues of the sample are those of
-the n x n Gram matrix Y Y* for Y = sigma*X/sqrt(N) + A, from one symmetric
-eigensolve per trial; the noise stream is counter-based per (seed, trial),
-so trials are reproducible.  Each experiment is sampled once by
-``run_trials``; every check (separation, outliers, KS, and the
-``verify_all`` suite) is a function over that list of samples.
+the n x n Gram matrix Y Y* for Y = sigma*X/sqrt(N) + A, from one kernel per
+trial (``_gram_eigenvalues``): a one-triangle rank-N update and LAPACK's
+two-stage symmetric eigensolver, both from numpy's bundled OpenBLAS, with
+numpy's ``eigvalsh`` as the fallback where that library lacks them.  The
+noise stream is counter-based per (seed, trial), so trials are reproducible;
+eigenvalue digits depend on which path ran, as they do on the BLAS build.
+Each experiment is sampled once by ``run_trials``; every check (separation,
+outliers, KS, and the ``verify_all`` suite) is a function over that list of
+samples.
 
 ``run_trials`` runs the trials side by side in spawned worker processes, at
 most one per usable CPU, and every trial's linear algebra runs on one BLAS
@@ -26,6 +30,8 @@ pieces (``middle_window``).
 
 from __future__ import annotations
 
+import functools
+import glob
 import math
 import os
 from dataclasses import dataclass, field
@@ -53,6 +59,9 @@ _MASK64 = (1 << 64) - 1
 
 # read by OpenBLAS, OpenMP and MKL when a worker loads numpy
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# CBLAS and LAPACKE layout, transpose and triangle codes
+_ROW_MAJOR, _COL_MAJOR, _NO_TRANS, _LOWER = 101, 102, 111, 122
 
 
 def as_int(name: str, value) -> int:
@@ -141,28 +150,104 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_eigenvalues(cfg: SimConfig, trial: int,
-                       d: np.ndarray | None = None) -> EigenSample:
-    """Eigenvalues of one sampled matrix, descending, deterministic in (seed, trial).
-
-    Computed as ``eigvalsh(Y Y*)`` for Y = sigma*X/sqrt(N) + A: one n x n
-    Gram product and one symmetric eigensolve.  Forming Y Y* squares the
-    condition number of Y, so each eigenvalue carries an absolute error of
-    about eps*||Y||^2; small eigenvalues near zero at c = 1 are accurate to
-    that absolute level, not relatively.  ``d`` is the diagonal of A from
-    ``build_A``, built here when not given.
-    """
-    if d is None:
-        d = build_A(cfg.model, cfg.spikes, cfg.n)
+def _sample_matrix(cfg: SimConfig, trial: int, d: np.ndarray) -> np.ndarray:
+    """Y = sigma*X/sqrt(N) + A for one trial, with ``d`` the diagonal of A."""
     rng = _trial_rng(cfg.seed, trial)
     Y = _noise(rng, (cfg.n, cfg.N), cfg.entry_dist) * (cfg.model.sigma
                                                        / math.sqrt(cfg.N))
     idx = np.arange(cfg.n)
     Y[idx, idx] = Y[idx, idx] + d
-    G = Y @ Y.conj().T
-    del Y  # Y and the solver's workspace are never held together
+    return Y
+
+
+@functools.cache
+def _gram_kernel() -> dict | None:
+    """ctypes bindings in numpy's bundled ILP64 OpenBLAS, by dtype of Y:
+    (rank-k update, two-stage eigensolver, solver name), that is
+    ``cblas_zherk`` and ``LAPACKE_zheevd_2stage`` for complex Y and
+    ``cblas_dsyrk`` and ``LAPACKE_dsyevd_2stage`` for real Y.
+
+    None where numpy ships no such library or it lacks a symbol.  Bound on
+    the first call (in a pool worker, the worker's first trial), so
+    importing ipn loads nothing.
+    """
+    import ctypes
+
+    root = os.path.dirname(np.__file__)
+    paths = sorted(glob.glob(os.path.join(root + ".libs", "libscipy_openblas64_*"))
+                   + glob.glob(os.path.join(root, ".dylibs", "libscipy_openblas64_*")))
+    if not paths:
+        return None
     try:
-        evals = np.linalg.eigvalsh(G)
+        lib = ctypes.CDLL(paths[0])  # numpy has loaded it: this binds, nothing more
+        kernel = {np.dtype(dtype): (getattr(lib, f"scipy_cblas_{rank_k}64_"),
+                                    getattr(lib, f"scipy_LAPACKE_{solve}64_"), solve)
+                  for dtype, rank_k, solve in ((np.complex128, "zherk", "zheevd_2stage"),
+                                               (np.float64, "dsyrk", "dsyevd_2stage"))}
+    except (OSError, AttributeError):
+        return None
+    enum, index, real, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    for rank_k, solve, _ in kernel.values():
+        # (layout, uplo, trans, n, k, alpha, A, lda, beta, C, ldc)
+        rank_k.argtypes = [enum, enum, enum, index, index, real, ptr, index, real,
+                           ptr, index]
+        rank_k.restype = None
+        # (layout, jobz, uplo, n, A, lda, w) -> info
+        solve.argtypes = [enum, ctypes.c_char, ctypes.c_char, index, ptr, index, ptr]
+        solve.restype = index
+    return kernel
+
+
+def _gram_eigenvalues(Y: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the n x n Gram matrix G = Y Y* of an n x N
+    matrix Y, complex or real.
+
+    ``zherk`` (``dsyrk`` for real Y) fills the lower triangle of the
+    row-major G, and LAPACKE's ``zheevd_2stage`` (``dsyevd_2stage``) solves
+    it in place with JOBZ = 'N'.  The solver reads that buffer in
+    column-major order, as conj(G) with its upper triangle set, which has
+    the same eigenvalues; nothing is transposed or copied.  Y is dropped
+    before the solve, so a caller that passes its only reference never holds
+    Y and the solver's workspace together.  Where ``_gram_kernel`` is None
+    this is ``eigvalsh(Y @ Y.conj().T)``.  A nonzero LAPACK info raises
+    LinAlgError.
+    """
+    kernel = _gram_kernel()
+    if kernel is None:
+        G = Y @ Y.conj().T
+        del Y
+        return np.linalg.eigvalsh(G)
+    Y = np.ascontiguousarray(Y, np.complex128 if np.iscomplexobj(Y) else np.float64)
+    rank_k, solve, name = kernel[Y.dtype]
+    n, k = Y.shape
+    G = np.zeros((n, n), Y.dtype)
+    rank_k(_ROW_MAJOR, _LOWER, _NO_TRANS, n, k, 1.0, Y.ctypes.data, k, 0.0,
+           G.ctypes.data, n)
+    del Y
+    w = np.empty(n)
+    info = solve(_COL_MAJOR, b"N", b"U", n, G.ctypes.data, n, w.ctypes.data)
+    if info:
+        raise np.linalg.LinAlgError(f"{name} returned info = {info}")
+    return w
+
+
+def sample_eigenvalues(cfg: SimConfig, trial: int,
+                       d: np.ndarray | None = None) -> EigenSample:
+    """Eigenvalues of one sampled matrix, descending, deterministic in (seed, trial).
+
+    Computed by ``_gram_eigenvalues`` for Y = sigma*X/sqrt(N) + A: one
+    n x n Gram product and one symmetric eigensolve.  Forming Y Y* squares
+    the condition number of Y, so each eigenvalue carries an absolute error
+    of about eps*||Y||^2; small eigenvalues near zero at c = 1 are accurate
+    to that absolute level, not relatively.  ``d`` is the diagonal of A from
+    ``build_A``, built here when not given.
+    """
+    if d is None:
+        d = build_A(cfg.model, cfg.spikes, cfg.n)
+    # the kernel gets the only reference to Y (CPython 3.11+ moves call
+    # arguments into the callee) and drops it before the solve
+    try:
+        evals = _gram_eigenvalues(_sample_matrix(cfg, trial, d))
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"eigendecomposition failed on trial {trial}: {exc}"

@@ -44,10 +44,10 @@ def count_samples(monkeypatch) -> list[list[int]]:
 
 def _sample_with_failing_eigensolver(cfg, trial, d):
     """Stands in for ``simulate._sample_trial`` in the pool workers: the
-    worker's own eigensolver fails, then the real trial runs."""
-    def boom(*args, **kwargs):
+    worker's own Gram eigenvalue kernel fails, then the real trial runs."""
+    def boom(Y):
         raise np.linalg.LinAlgError("did not converge")
-    np.linalg.eigvalsh = boom  # the worker exits with run_trials
+    simulate._gram_eigenvalues = boom  # the worker exits with run_trials
     return simulate._sample_trial(cfg, trial, d)
 
 
@@ -121,8 +121,9 @@ def test_nan_sigma_exits_one(monkeypatch, capsys):
 
 @pytest.mark.parametrize("section, field, bad", [
     ("sim", "n", float("inf")), ("sim", "trials", 2.5),
-    ("spikes", "multiplicities", [float("inf")]), ("sim", "n", 20.5)],
-    ids=["n", "trials", "mult", "n_fraction"])
+    ("spikes", "multiplicities", [float("inf")]), ("sim", "n", 20.5),
+    ("sim", "n", [20])],
+    ids=["n", "trials", "mult", "n_fraction", "n_list"])
 def test_non_integral_config_integer_exits_one(tmp_path, capsys, section,
                                                field, bad):
     data = read_json(small_config(tmp_path, spikes={"thetas": [4.0],

@@ -123,6 +123,63 @@ def test_gram_eigenvalues_match_squared_singular_values(model, n, N, dist):
     assert simulate.sample_eigenvalues(cfg, 1).eigenvalues.tobytes() == ev.tobytes()
 
 
+@pytest.mark.parametrize("fallback", [False, True], ids=["two_stage", "fallback"])
+@pytest.mark.parametrize("dist", simulate.ENTRY_DISTS)
+@pytest.mark.parametrize("model, n, N", [(MODEL_D1_C1, 60, 60),
+                                         (MODEL_SPLIT, 30, 60)],
+                         ids=["c1", "c_half"])
+def test_gram_kernel_matches_eigvalsh(monkeypatch, model, n, N, dist, fallback):
+    # the kernel against numpy's eigvalsh of the full gemm Gram product
+    if fallback:
+        monkeypatch.setattr(simulate, "_gram_kernel", lambda: None)
+    cfg = SimConfig(n=n, N=N, model=model, entry_dist=dist, seed=23,
+                    spikes=SpikeSpec((9.0,), (1,)))
+    Y = simulate._sample_matrix(cfg, 0, simulate.build_A(model, cfg.spikes, n))
+    oracle = np.linalg.eigvalsh(Y @ Y.conj().T)
+    ev = simulate._gram_eigenvalues(Y.copy())
+    assert ev.shape == (n,) and ev.dtype == np.float64
+    assert np.max(np.abs(ev - oracle)) <= 1e-13 * max(1.0, oracle[-1])
+
+
+_BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+
+
+@pytest.mark.skipif(_BLAS["name"] != "scipy-openblas"
+                    or "USE64BITINT" not in _BLAS.get("openblas configuration", ""),
+                    reason="numpy is not built on its bundled ILP64 OpenBLAS")
+def test_two_stage_kernel_runs_on_numpys_openblas(monkeypatch):
+    # a numpy whose OpenBLAS stops exporting the symbols fails here, rather
+    # than falling back to eigvalsh and slowing down unseen
+    kernel = simulate._gram_kernel()
+    assert kernel is not None
+    assert {dt: name for dt, (_, _, name) in kernel.items()} == {
+        np.dtype(np.complex128): "zheevd_2stage", np.dtype(np.float64): "dsyevd_2stage"}
+
+    def boom(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+    for dist in ("complex-gaussian", "real-gaussian"):
+        cfg = SimConfig(n=20, N=40, model=MODEL_SPLIT, entry_dist=dist)
+        assert len(simulate.sample_eigenvalues(cfg, 0).eigenvalues) == 20
+
+
+@pytest.mark.parametrize("info", [2, -1011])
+def test_nonzero_lapack_info_raises(monkeypatch, info):
+    real = simulate._gram_kernel()
+    if real is None:
+        pytest.skip("no two-stage kernel in numpy's BLAS")
+    failing = {dt: (rank_k, lambda *args: info, name)
+               for dt, (rank_k, _, name) in real.items()}
+    monkeypatch.setattr(simulate, "_gram_kernel", lambda: failing)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=f"^dsyevd_2stage returned info = {info}$"):
+        simulate._gram_eigenvalues(np.ones((3, 5)))
+    cfg = SimConfig(n=8, N=8, model=MODEL_D1_C1, trials=3)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=f"trial 2: zheevd_2stage returned info = {info}$"):
+        simulate.sample_eigenvalues(cfg, 2)
+
+
 def test_eigenvalues_descending_nonnegative():
     cfg = SimConfig(n=40, N=80, model=MODEL_SPLIT, seed=5)
     s = simulate.sample_eigenvalues(cfg, 0)
@@ -320,9 +377,9 @@ def test_empirical_cdf_distance_small():
 
 def test_eigensolver_failure_carries_trial_index(monkeypatch):
     # in process: sample_eigenvalues names the trial and chains the cause
-    def boom(*args, **kwargs):
+    def boom(Y):
         raise np.linalg.LinAlgError("did not converge")
-    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+    monkeypatch.setattr(simulate, "_gram_eigenvalues", boom)
     cfg = SimConfig(n=8, N=8, model=MODEL_D1_C1, seed=0, trials=4)
     for trial in (0, 3):
         with pytest.raises(np.linalg.LinAlgError,
