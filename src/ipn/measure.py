@@ -7,9 +7,11 @@ the support is a finite union of intervals, and CDF/quantile are piecewise
 linear.  The scaled Marchenko-Pastur density is provided as the closed-form
 special case used as an oracle in tests.
 
-``g_nu`` and ``g_nu_prime`` take a complex scalar, a float or a real numpy
-array (elementwise) through one body; only the log follows the input type
-(``cmath.log``, ``math.log`` or ``np.log``).
+``g_nu_and_prime`` is the one transform kernel: a single loop over the atoms
+and segments gives the Stieltjes transform and its derivative at a complex
+scalar, a float or a real numpy array (elementwise), after one support check;
+only the log follows the input type (``cmath.log``, ``math.log`` or
+``np.log``).  ``g_nu`` returns its first value.
 """
 
 from __future__ import annotations
@@ -167,63 +169,48 @@ def support_of(m: MeasureSpec) -> SupportComponents:
     return SupportComponents(intervals=tuple((lo, hi) for lo, hi in merged))
 
 
-def _real_argument(m: MeasureSpec, z) -> tuple:
-    """A real z as a float or a float array, with the log of the same kind.
-
-    Raises DomainError if z, or any element of an array z, lies on supp(m),
-    and for a complex array, which the real path would truncate.
-    """
-    if isinstance(z, np.ndarray):
-        if np.iscomplexobj(z):
-            raise DomainError("complex arrays are not supported")
-        x, log = np.asarray(z, dtype=float), np.log
-        on = support_of(m).distance(x) <= ATOL
-        if on.any():
-            raise DomainError(f"x={x[on]!r} lies on the support of the measure")
-    else:
-        x, log = float(z.real) if isinstance(z, complex) else float(z), math.log
-        if support_of(m).distance(x) <= ATOL:
-            raise DomainError(f"x={x!r} lies on the support of the measure")
-    return x, log
-
-
-def g_nu(m: MeasureSpec, z):
-    """Stieltjes transform integral of 1/(z - x) against ``m``.
+def g_nu_and_prime(m: MeasureSpec, z):
+    """Stieltjes transform of ``m``, the integral of 1/(z - x), and its
+    derivative, -integral of 1/(z - x)^2, from one pass over the atoms and
+    segments.
 
     Accepts complex z off the real axis, or real z (a float, or elementwise a
     real numpy array) at positive distance from the support; DomainError is
-    raised if any real point lies on it.  Real inputs give real outputs of
-    the same shape.  Segments use the principal branch of
+    raised if any real point lies on it, and for a complex array.  Real
+    inputs give real outputs of the same shape; in a gap the derivative is
+    strictly negative.  Segments use the principal branch of
     log((z-lo)/(z-hi)), which is analytic off the segment.
     """
     if isinstance(z, complex) and z.imag != 0.0:
-        total, log = 0j, cmath.log
+        g = gp = 0j
+        log = cmath.log
+    elif isinstance(z, np.ndarray):
+        if np.iscomplexobj(z):
+            raise DomainError("complex arrays are not supported")
+        z, log = np.asarray(z, dtype=float), np.log
+        on = support_of(m).distance(z) <= ATOL
+        if on.any():
+            raise DomainError(f"x={z[on]!r} lies on the support of the measure")
+        g = gp = 0.0
     else:
-        z, log = _real_argument(m, z)
-        total = 0.0
+        z, log = float(z.real), math.log
+        if support_of(m).distance(z) <= ATOL:
+            raise DomainError(f"x={z!r} lies on the support of the measure")
+        g = gp = 0.0
     for w, t in m.atoms:
-        total += w / (z - t)
+        d = z - t
+        g += w / d
+        gp -= w / (d * d)  # past the float range d * d is inf, where d ** 2 raises
     for w, lo, hi in m.segments:
-        total += (w / (hi - lo)) * log((z - lo) / (z - hi))
-    return total
+        h = w / (hi - lo)
+        g += h * log((z - lo) / (z - hi))
+        gp -= h * (1.0 / (z - hi) - 1.0 / (z - lo))
+    return g, gp
 
 
-def g_nu_prime(m: MeasureSpec, z):
-    """Derivative of the Stieltjes transform: -integral of 1/(z - x)^2.
-
-    Takes the same inputs as ``g_nu``.  Real inputs in a gap give strictly
-    negative real outputs.
-    """
-    if isinstance(z, complex) and z.imag != 0.0:
-        total = 0j
-    else:
-        z, _ = _real_argument(m, z)
-        total = 0.0
-    for w, t in m.atoms:
-        total -= w / (z - t) ** 2
-    for w, lo, hi in m.segments:
-        total -= (w / (hi - lo)) * (1.0 / (z - hi) - 1.0 / (z - lo))
-    return total
+def g_nu(m: MeasureSpec, z):
+    """Stieltjes transform alone: the first value of ``g_nu_and_prime``."""
+    return g_nu_and_prime(m, z)[0]
 
 
 def log_potential(m: MeasureSpec, z: complex) -> complex:

@@ -264,8 +264,13 @@ def _sample_trial(cfg: SimConfig, trial: int, d: np.ndarray) -> EigenSample:
 
 def _worker_count(trials: int) -> int:
     """Workers ``run_trials`` starts: one per usable CPU, at most one per
-    trial."""
-    return min(len(os.sched_getaffinity(0)), trials)
+    trial.  Usable CPUs are the process's affinity set where the platform
+    has one (not on macOS or Windows), else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, trials)
 
 
 def run_trials(cfg: SimConfig) -> list[EigenSample]:

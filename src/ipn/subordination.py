@@ -110,29 +110,26 @@ class SupportResult(measure.SupportComponents):
         }
 
 
-def phi(p: ModelParams, x):
-    """Forward spectral map x*(1 + c*s^2*g(x))^2 + s^2*(1-c)*(1 + c*s^2*g(x)).
-
-    Takes what ``measure.g_nu`` takes: complex x off the real axis, or real
-    x away from supp(nu), a float or elementwise a real numpy array."""
-    g = measure.g_nu(p.nu, x)
-    a = 1.0 + p.c * p.sigma ** 2 * g
-    return x * a * a + p.sigma ** 2 * (1.0 - p.c) * a
-
-
 def phi_and_prime(p: ModelParams, x):
-    """``phi`` and its derivative at x, from one g_nu and one g_nu' call;
-    takes the same inputs as ``phi`` and matches it bit for bit."""
+    """Forward spectral map x*(1 + c*s^2*g(x))^2 + s^2*(1-c)*(1 + c*s^2*g(x))
+    and its derivative at x, from one ``measure.g_nu_and_prime`` pass.
+
+    Takes what that takes: complex x off the real axis, or real x away from
+    supp(nu), a float or elementwise a real numpy array."""
     s2c = p.c * p.sigma ** 2
-    g = measure.g_nu(p.nu, x)
-    gp = measure.g_nu_prime(p.nu, x)
+    g, gp = measure.g_nu_and_prime(p.nu, x)
     a = 1.0 + s2c * g
     tail = p.sigma ** 2 * (1.0 - p.c)
     return x * a * a + tail * a, a * a + 2.0 * x * a * s2c * gp + tail * s2c * gp
 
 
+def phi(p: ModelParams, x):
+    """The forward spectral map: the first value of ``phi_and_prime``."""
+    return phi_and_prime(p, x)[0]
+
+
 def phi_prime(p: ModelParams, x):
-    """Derivative of ``phi``; takes the same inputs as ``phi``."""
+    """Derivative of ``phi``: the second value of ``phi_and_prime``."""
     return phi_and_prime(p, x)[1]
 
 
@@ -208,31 +205,28 @@ def _sample_points(lo: float, hi: float, cluster_lo: bool,
     return xs[(xs > lo) & (xs < hi)]
 
 
-def _phi_prime_marks(p: ModelParams, xs: np.ndarray) -> list[float]:
-    """Zeros of phi' bracketed by sign changes over the sample points,
-    bisected to BOUNDARY_XTOL / 10.  Points where |phi'| <= PHI_PRIME_FLOOR
-    are skipped: bisection between their nonzero neighbours finds the zero."""
+def _positive_pieces(p: ModelParams, lo: float, hi: float, xs: np.ndarray,
+                     open_lo: bool, open_hi: bool) -> list[tuple[float, float]]:
+    """Subintervals of (lo, hi) where phi' > 0, from phi' at the sample
+    points xs inside it.
+
+    Each sign change between neighbouring samples brackets a zero of phi',
+    bisected to BOUNDARY_XTOL / 10; the pieces between those zeros alternate
+    in sign, starting with the first sample's.  Samples where
+    |phi'| <= PHI_PRIME_FLOOR are skipped: bisection between their nonzero
+    neighbours finds the zero.  An end marked open is unbounded.
+    """
     vals = phi_prime(p, xs)
     keep = np.abs(vals) > PHI_PRIME_FLOOR
     xs, pos = xs[keep], vals[keep] > 0.0
-    return [_bracketed_root(lambda u: phi_prime(p, u), float(xs[i]), float(xs[i + 1]),
-                            BOUNDARY_XTOL * 0.1)
-            for i in np.flatnonzero(pos[1:] != pos[:-1])]
-
-
-def _positive_pieces(p: ModelParams, lo: float, hi: float,
-                     marks: list[float],
-                     open_lo: bool, open_hi: bool) -> list[tuple[float, float]]:
-    """Subintervals of (lo, hi) where phi' > 0, split at the given marks."""
-    edges = [lo] + [m for m in marks if lo < m < hi] + [hi]
-    pieces = []
-    for a, b in zip(edges, edges[1:]):
-        mid = 0.5 * (a + b)
-        if phi_prime(p, mid) > PHI_PRIME_FLOOR:
-            a_out = -math.inf if (open_lo and a == lo) else a
-            b_out = math.inf if (open_hi and b == hi) else b
-            pieces.append((a_out, b_out))
-    return pieces
+    if not pos.size:
+        return []
+    marks = [_bracketed_root(lambda u: phi_prime(p, u), float(xs[i]), float(xs[i + 1]),
+                             BOUNDARY_XTOL * 0.1)
+             for i in np.flatnonzero(pos[1:] != pos[:-1])]
+    edges = [-math.inf if open_lo else lo, *marks, math.inf if open_hi else hi]
+    pieces = list(zip(edges, edges[1:]))
+    return pieces[0 if pos[0] else 1::2]
 
 
 def g_threshold_crossing(p: ModelParams, gap: tuple[float, float]) -> float | None:
@@ -261,8 +255,12 @@ def g_threshold_crossing(p: ModelParams, gap: tuple[float, float]) -> float | No
         return right
     if f(left) <= 0.0:
         return left
-    return _bracketed_root(f, left, right, BOUNDARY_XTOL * 0.1,
-                           lambda u: (f(u), measure.g_nu_prime(p.nu, u)))
+
+    def f_and_prime(u):
+        g, gp = measure.g_nu_and_prime(p.nu, u)
+        return g - thr, gp
+
+    return _bracketed_root(f, left, right, BOUNDARY_XTOL * 0.1, f_and_prime)
 
 
 def _drop_slivers(pieces: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -292,8 +290,7 @@ def _scan_gap(p: ModelParams, gap_lo: float,
     g_hi = math.inf if crossing is None else crossing
     xs = _sample_points(win_lo, win_hi, cluster_lo=not math.isinf(gap_lo),
                         cluster_hi=not math.isinf(gap_hi))
-    pieces = _positive_pieces(p, win_lo, win_hi, _phi_prime_marks(p, xs),
-                              open_lo=math.isinf(gap_lo),
+    pieces = _positive_pieces(p, win_lo, win_hi, xs, open_lo=math.isinf(gap_lo),
                               open_hi=math.isinf(gap_hi))
     good = _drop_slivers([(a, min(b, g_hi)) for a, b in pieces if a < g_hi])
     # canonical form: at most one admissible interval in a bounded gap, and

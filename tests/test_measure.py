@@ -14,7 +14,7 @@ from ipn import measure
 from ipn.errors import DomainError
 from ipn.measure import MeasureSpec
 
-from conftest import DELTA2, TWO_ATOMS, UNIFORM_13, measures
+from conftest import DELTA2, MIXED, TWO_ATOMS, UNIFORM_13, measures
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +117,14 @@ def test_g_complex_matches_real_limit():
 
 
 def test_g_prime_point_masses():
-    assert measure.g_nu_prime(DELTA2, 0.5) == pytest.approx(-4.0 / 9.0, abs=1e-14)
-    assert measure.g_nu_prime(TWO_ATOMS, 3.0) == pytest.approx(-0.25, abs=1e-14)
+    assert measure.g_nu_and_prime(DELTA2, 0.5)[1] == pytest.approx(-4.0 / 9.0, abs=1e-14)
+    assert measure.g_nu_and_prime(TWO_ATOMS, 3.0)[1] == pytest.approx(-0.25, abs=1e-14)
 
 
 def test_g_prime_uniform_against_finite_difference():
     h = 1e-6
     fd = (measure.g_nu(UNIFORM_13, 5.0 + h) - measure.g_nu(UNIFORM_13, 5.0 - h)) / (2 * h)
-    val = measure.g_nu_prime(UNIFORM_13, 5.0)
+    val = measure.g_nu_and_prime(UNIFORM_13, 5.0)[1]
     assert val == pytest.approx(fd, abs=1e-8)
     assert val == pytest.approx(-0.125, abs=1e-12)
 
@@ -259,7 +259,7 @@ def test_g_prime_matches_finite_difference(m):
     x = comps.max + 1.5
     h = 1e-6
     fd = (measure.g_nu(m, x + h) - measure.g_nu(m, x - h)) / (2 * h)
-    gp = measure.g_nu_prime(m, x)
+    gp = measure.g_nu_and_prime(m, x)[1]
     assert gp < 0.0
     assert abs(gp - fd) <= 1e-6 * max(1.0, abs(gp))
 
@@ -274,10 +274,11 @@ def test_transforms_on_arrays_match_scalars(m, fracs):
         hi = comps.max + 3.0 if math.isinf(hi) else hi
         xs.extend(lo + f * (hi - lo) for f in fracs)
     xs = np.array(xs)
-    for fn in (measure.g_nu, measure.g_nu_prime):
-        # np.log and numpy's squaring may differ from math.log and float ** 2
-        # (libm pow) in the last ulp; g_nu over atoms alone uses neither
-        rel = 0.0 if fn is measure.g_nu and not m.segments else 1e-14
+    g_nu_prime = lambda m, z: measure.g_nu_and_prime(m, z)[1]
+    for fn in (measure.g_nu, g_nu_prime):
+        # np.log may differ from math.log in the last ulp; over atoms alone
+        # both values are sums of quotients and products, as in numpy
+        rel = 0.0 if not m.segments else 1e-14
         vals = fn(m, xs)
         assert vals.shape == xs.shape
         for x, v in zip(xs, vals):
@@ -286,6 +287,65 @@ def test_transforms_on_arrays_match_scalars(m, fracs):
             fn(m, np.append(xs, comps.intervals[-1][0]))
         with pytest.raises(DomainError):
             fn(m, xs + 1j)
+
+
+def test_huge_arguments_do_not_overflow():
+    # the square of 1e200 is past the float range: the g' term is then 0
+    for m in (DELTA2, MIXED):
+        for z in (1e200, complex(1e200, 1.0)):
+            g, gp = measure.g_nu_and_prime(m, z)
+            assert g == pytest.approx(1e-200, rel=1e-12)
+            assert gp == 0.0
+
+
+def _oracle(m, z):
+    """g, g' and the scales of their terms at z, in 30-digit mpmath.
+
+    A segment's g term is a difference of logs, its g' term one quotient; it
+    adds |term| + w/(hi - lo) to the scale of g (the second part for the
+    rounding of its log) and the size of the two quotients the kernel
+    subtracts to the scale of g'."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z)
+        g = gp = mpmath.mpc(0)
+        g_scale = gp_scale = mpmath.mpf(0)
+        for w, t in m.atoms:
+            g += w / (z - t)
+            gp -= w / (z - t) ** 2
+            g_scale += w / abs(z - t)
+            gp_scale += w / abs(z - t) ** 2
+        for w, lo, hi in m.segments:
+            h = mpmath.mpf(w) / (mpmath.mpf(hi) - lo)
+            term = h * (mpmath.log(z - lo) - mpmath.log(z - hi))
+            g += term
+            gp -= w / ((z - lo) * (z - hi))
+            g_scale += abs(term) + h
+            gp_scale += h / abs(z - lo) + h / abs(z - hi)
+        return complex(g), complex(gp), float(g_scale), float(gp_scale)
+
+
+@given(measures(), st.lists(st.floats(0.02, 0.98), min_size=1, max_size=4),
+       st.sampled_from([1e-9, 1e-3, 0.5, -2.0]))
+@settings(max_examples=60, deadline=None)
+def test_transform_pair_against_mpmath(m, fracs, y):
+    # real points in every gap (scalar and array) and complex points above
+    # or below them; the bound is relative to the terms, not to |g|, which
+    # crosses zero on the gaps
+    comps = measure.support_of(m)
+    xs = []
+    for lo, hi in comps.gaps():
+        lo = comps.min - 3.0 if math.isinf(lo) else lo
+        hi = comps.max + 3.0 if math.isinf(hi) else hi
+        xs.extend(lo + f * (hi - lo) for f in fracs)
+    cases = [(x, measure.g_nu_and_prime(m, x)) for x in xs]
+    cases += list(zip(xs, zip(*measure.g_nu_and_prime(m, np.array(xs)))))
+    cases += [(z, measure.g_nu_and_prime(m, z)) for z in (complex(x, y) for x in xs)]
+    for z, (g, gp) in cases:
+        want_g, want_gp, g_scale, gp_scale = _oracle(m, z)
+        assert abs(g - want_g) <= 1e-13 * g_scale, z
+        assert abs(gp - want_gp) <= 1e-13 * gp_scale, z
 
 
 @given(measures(), st.floats(0.0, 1.0))

@@ -399,6 +399,18 @@ def test_worker_count_is_capped_by_cpus_and_trials(monkeypatch):
     assert simulate._worker_count(40) == 1
 
 
+def test_worker_count_without_an_affinity_call(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity: count every CPU, and
+    # one when even that count is unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    cfg = SimConfig(n=4, N=8, model=MODEL_D1_C1, seed=0, trials=2)
+    assert [s.trial_index for s in simulate.run_trials(cfg)] == [0, 1]
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert [simulate._worker_count(t) for t in (1, 2, 40)] == [1, 2, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simulate._worker_count(40) == 1
+
+
 @pytest.mark.skipif(simulate._worker_count(2) < 2, reason="needs two usable CPUs")
 def test_trial_bytes_independent_of_worker_count(monkeypatch):
     cfg = SimConfig(n=100, N=200, model=MODEL_SPLIT, seed=19, trials=5,

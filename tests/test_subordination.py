@@ -43,6 +43,24 @@ def test_phi_rejects_support_points():
         subordination.phi(MODEL_D1_C1, 1.0)
 
 
+def test_phi_and_prime_checks_the_support_once(monkeypatch):
+    calls = []
+    real = measure.support_of
+    monkeypatch.setattr(measure, "support_of", lambda m: calls.append(m) or real(m))
+    for x in (0.5, np.array([-1.0, 0.5, 4.0])):
+        calls.clear()
+        subordination.phi_and_prime(MODEL_SPLIT, x)
+        assert calls == [MODEL_SPLIT.nu]
+    calls.clear()
+    subordination.phi_and_prime(MODEL_SPLIT, complex(3.0, 0.5))
+    assert calls == []
+
+
+def test_phi_of_a_huge_point():
+    # phi reads g' too, whose atom term squares 1e200 past the float range
+    assert subordination.phi_and_prime(MODEL_D2_HALF, 1e200) == (1e200, 1.0)
+
+
 def test_phi_prime_values():
     assert subordination.phi_prime(MODEL_D2_HALF, 0.5) == pytest.approx(
         5.0 / 27.0, abs=1e-13)
@@ -348,30 +366,32 @@ def test_omega_strictly_increasing_across_gaps(p):
 
 
 def test_omega_newton_steps_read_one_transform_each(monkeypatch):
-    # phi and phi' come from one g_nu and one g_nu' call per Newton step, so
-    # a solve's g_nu calls exceed its g_nu' calls only by the four value-only
-    # reads: the two bracket ends, the root finder's first end and the
-    # residual check
-    counts = {"g": 0, "gp": 0}
-    real_g, real_gp = measure.g_nu, measure.g_nu_prime
+    # every phi or phi' evaluation of a solve is one g_nu_and_prime pass: one
+    # per Newton step, plus at most four value-only reads of phi (the two
+    # bracket ends, the root finder's first end and the residual check)
+    counts = {"pass": 0, "pair": 0, "value": 0}
+    real_pass = measure.g_nu_and_prime
+    real_pair, real_phi = subordination.phi_and_prime, subordination.phi
 
-    def g_nu(*args):
-        counts["g"] += 1
-        return real_g(*args)
-
-    def g_nu_prime(*args):
-        counts["gp"] += 1
-        return real_gp(*args)
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
 
     sups = [(p, subordination.support(p)) for p in ALL_MODELS]  # cached first
-    monkeypatch.setattr(measure, "g_nu", g_nu)
-    monkeypatch.setattr(measure, "g_nu_prime", g_nu_prime)
+    monkeypatch.setattr(measure, "g_nu_and_prime", counted("pass", real_pass))
+    monkeypatch.setattr(subordination, "phi_and_prime", counted("pair", real_pair))
+    monkeypatch.setattr(subordination, "phi", counted("value", real_phi))
+    newton = 0
     for p, sup in sups:
         for x in off_support_grid(sup):
             before = dict(counts)
             subordination.omega(p, x)
-            assert counts["g"] - before["g"] <= counts["gp"] - before["gp"] + 4, (p, x)
-    assert counts["gp"] > 0
+            d = {k: counts[k] - before[k] for k in counts}
+            assert d["pass"] == d["pair"] and d["value"] <= 4, (p, x)
+            newton += d["pair"] - d["value"]
+    assert newton > 0
 
 
 @pytest.mark.parametrize("p", FIVE_MODELS)
