@@ -9,9 +9,11 @@ special case used as an oracle in tests.
 
 ``g_nu_and_prime`` is the one transform kernel: a single loop over the atoms
 and segments gives the Stieltjes transform and its derivative at a complex
-scalar, a float or a real numpy array (elementwise), after one support check;
-only the log follows the input type (``cmath.log``, ``math.log`` or
-``np.log``).  ``g_nu`` returns its first value.
+scalar, a float, or elementwise a real or complex numpy array, after one
+check of the argument; only the log follows the input type (``cmath.log``,
+``math.log`` or ``np.log``, which share the principal branch).  ``g_nu``
+returns its first value, and ``log_potential`` takes the same complex
+scalars and arrays through one body.
 """
 
 from __future__ import annotations
@@ -174,19 +176,23 @@ def g_nu_and_prime(m: MeasureSpec, z):
     derivative, -integral of 1/(z - x)^2, from one pass over the atoms and
     segments.
 
-    Accepts complex z off the real axis, or real z (a float, or elementwise a
-    real numpy array) at positive distance from the support; DomainError is
-    raised if any real point lies on it, and for a complex array.  Real
-    inputs give real outputs of the same shape; in a gap the derivative is
-    strictly negative.  Segments use the principal branch of
-    log((z-lo)/(z-hi)), which is analytic off the segment.
+    Accepts complex z off the real axis (a complex scalar, or elementwise a
+    complex numpy array), or real z (a float, or elementwise a real numpy
+    array) at positive distance from the support.  DomainError is raised if
+    any real point lies on the support, and for a complex array with an
+    element on the real axis.  Outputs have the input's shape, real for real
+    inputs; in a gap the derivative is strictly negative.  Segments use the
+    principal branch of log((z-lo)/(z-hi)), which is analytic off the
+    segment.
     """
     if isinstance(z, complex) and z.imag != 0.0:
         g = gp = 0j
         log = cmath.log
+    elif isinstance(z, np.ndarray) and np.iscomplexobj(z):
+        _off_real_axis(z)
+        g = gp = 0j
+        log = np.log
     elif isinstance(z, np.ndarray):
-        if np.iscomplexobj(z):
-            raise DomainError("complex arrays are not supported")
         z, log = np.asarray(z, dtype=float), np.log
         on = support_of(m).distance(z) <= ATOL
         if on.any():
@@ -199,8 +205,9 @@ def g_nu_and_prime(m: MeasureSpec, z):
         g = gp = 0.0
     for w, t in m.atoms:
         d = z - t
-        g += w / d
-        gp -= w / (d * d)  # past the float range d * d is inf, where d ** 2 raises
+        r = w / d
+        g += r
+        gp -= r / d  # w / d^2 without forming d^2, which overflows past |d| ~ 1e154
     for w, lo, hi in m.segments:
         h = w / (hi - lo)
         g += h * log((z - lo) / (z - hi))
@@ -213,18 +220,30 @@ def g_nu(m: MeasureSpec, z):
     return g_nu_and_prime(m, z)[0]
 
 
-def log_potential(m: MeasureSpec, z: complex) -> complex:
-    """Integral of log(z - x) against ``m`` for Im z > 0, principal branch.
+def _off_real_axis(z: np.ndarray) -> None:
+    """DomainError unless every element of the complex array z has Im z != 0."""
+    on = z.imag == 0.0
+    if on.any():
+        raise DomainError(f"z={z[on]!r} lies on the real axis")
+
+
+def log_potential(m: MeasureSpec, z):
+    """Integral of log(z - x) against ``m`` for Im z > 0, principal branch,
+    at a complex scalar or elementwise a complex numpy array (DomainError
+    for an array element on the real axis).
 
     Its derivative is ``g_nu``, and Im of it tends to pi * m((x, inf)) as z
     tends to a real x off supp(m) from above.
     """
+    log = cmath.log
+    if isinstance(z, np.ndarray):
+        _off_real_axis(z)
+        log = np.log
     total = 0j
     for w, t in m.atoms:
-        total += w * cmath.log(z - t)
+        total += w * log(z - t)
     for w, lo, hi in m.segments:
-        total += (w / (hi - lo)) * ((z - lo) * cmath.log(z - lo)
-                                    - (z - hi) * cmath.log(z - hi)) - w
+        total += (w / (hi - lo)) * ((z - lo) * log(z - lo) - (z - hi) * log(z - hi)) - w
     return total
 
 

@@ -133,15 +133,26 @@ def build_A(model: ModelParams, spikes: SpikeSpec, n: int) -> np.ndarray:
     return np.sqrt(spikes_mod.signal_eigenvalues(model, spikes, n))
 
 
-def _noise(rng: np.random.Generator, shape: tuple[int, int],
-           entry_dist: str) -> np.ndarray:
+def _noise(rng: np.random.Generator, shape: tuple[int, int], entry_dist: str,
+           scale: float) -> np.ndarray:
+    """scale * X for a noise matrix X of unit-variance entries."""
     if entry_dist == "complex-gaussian":
-        return ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-                / math.sqrt(2.0))
+        # Re, then Im, drawn into one real buffer and scaled in place into Y:
+        # the bytes of ((re + 1j*im) / sqrt(2)) * scale, since numpy divides
+        # complex by real as a multiplication by fl(1/sqrt(2))
+        Y = np.empty(shape, dtype=complex)
+        buf = np.empty(shape)
+        for part in (Y.real, Y.imag):
+            rng.standard_normal(out=buf)
+            buf *= 1.0 / math.sqrt(2.0)
+            np.multiply(buf, scale, out=part)
+        return Y
     if entry_dist == "real-gaussian":
-        return rng.standard_normal(shape)
+        X = rng.standard_normal(shape)
+        X *= scale
+        return X
     # rademacher-complex: uniform on the fourth roots of unity, |X| = 1
-    table = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
+    table = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j]) * scale
     return table[rng.integers(0, 4, size=shape)]
 
 
@@ -153,8 +164,7 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 def _sample_matrix(cfg: SimConfig, trial: int, d: np.ndarray) -> np.ndarray:
     """Y = sigma*X/sqrt(N) + A for one trial, with ``d`` the diagonal of A."""
     rng = _trial_rng(cfg.seed, trial)
-    Y = _noise(rng, (cfg.n, cfg.N), cfg.entry_dist) * (cfg.model.sigma
-                                                       / math.sqrt(cfg.N))
+    Y = _noise(rng, (cfg.n, cfg.N), cfg.entry_dist, cfg.model.sigma / math.sqrt(cfg.N))
     idx = np.arange(cfg.n)
     Y[idx, idx] = Y[idx, idx] + d
     return Y

@@ -114,8 +114,9 @@ def phi_and_prime(p: ModelParams, x):
     """Forward spectral map x*(1 + c*s^2*g(x))^2 + s^2*(1-c)*(1 + c*s^2*g(x))
     and its derivative at x, from one ``measure.g_nu_and_prime`` pass.
 
-    Takes what that takes: complex x off the real axis, or real x away from
-    supp(nu), a float or elementwise a real numpy array."""
+    Takes what that takes: complex x off the real axis, a complex scalar or
+    elementwise a complex numpy array, or real x away from supp(nu), a float
+    or elementwise a real numpy array."""
     s2c = p.c * p.sigma ** 2
     g, gp = measure.g_nu_and_prime(p.nu, x)
     a = 1.0 + s2c * g

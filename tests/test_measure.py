@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 
@@ -286,16 +287,68 @@ def test_transforms_on_arrays_match_scalars(m, fracs):
         with pytest.raises(DomainError):
             fn(m, np.append(xs, comps.intervals[-1][0]))
         with pytest.raises(DomainError):
-            fn(m, xs + 1j)
+            fn(m, np.append(xs + 1j, xs[0]))
 
 
 def test_huge_arguments_do_not_overflow():
-    # the square of 1e200 is past the float range: the g' term is then 0
+    # the square of 1e200 is past the float range: the g' term is then 0,
+    # also where both parts of z are huge and for arrays (a RuntimeWarning
+    # fails the test)
     for m in (DELTA2, MIXED):
-        for z in (1e200, complex(1e200, 1.0)):
+        for z in (1e200, complex(1e200, 1.0), complex(1e200, 1e200)):
             g, gp = measure.g_nu_and_prime(m, z)
-            assert g == pytest.approx(1e-200, rel=1e-12)
+            assert g == pytest.approx(1.0 / z, rel=1e-12)
             assert gp == 0.0
+        for z in (np.array([1e200, -1.0]), np.array([1e200 + 1e200j, 1.0 + 1j])):
+            g, gp = measure.g_nu_and_prime(m, z)
+            assert g[0] == pytest.approx(1.0 / z[0], rel=1e-12)
+            assert gp[0] == 0.0
+            want = measure.g_nu_and_prime(m, z[1].item())
+            assert (g[1], gp[1]) == pytest.approx(want, rel=1e-14)
+
+
+def _term_scales(m, z):
+    """Sums of the moduli of the terms that g, g' and ``log_potential`` add
+    up at z: what their rounding is read against, since g and g' cross zero
+    in the gaps."""
+    g = gp = lp = 0.0
+    for w, t in m.atoms:
+        g += w / abs(z - t)
+        gp += w / abs(z - t) ** 2
+        lp += w * abs(cmath.log(z - t))
+    for w, lo, hi in m.segments:
+        h = w / (hi - lo)
+        g += h * (abs(cmath.log((z - lo) / (z - hi))) + 1.0)
+        gp += h / abs(z - lo) + h / abs(z - hi)
+        lp += h * (abs(z - lo) * abs(cmath.log(z - lo))
+                   + abs(z - hi) * abs(cmath.log(z - hi))) + w
+    return g, gp, lp
+
+
+@pytest.mark.parametrize("m", [DELTA2, TWO_ATOMS, UNIFORM_13, MIXED],
+                         ids=["atom", "two_atoms", "segment", "mixed"])
+def test_complex_arrays_match_scalar_transforms(m):
+    # np.log and cmath.log share the principal branch: complex arrays give
+    # the scalar values elementwise, across the gaps, over the segments (the
+    # log's cut), at the support edges and just above or below them
+    comps = measure.support_of(m)
+    xs = np.concatenate([np.linspace(comps.min - 2.0, comps.max + 2.0, 61),
+                         np.ravel(comps.intervals)])
+    for y in (1e-9, 1e-3, 0.5, 1e3, -1e-6, -2.0):
+        z = xs + 1j * y
+        g, gp = measure.g_nu_and_prime(m, z)
+        lp = measure.log_potential(m, z)
+        assert g.shape == gp.shape == lp.shape == z.shape
+        for k, zk in enumerate(z.tolist()):
+            g_scale, gp_scale, lp_scale = _term_scales(m, zk)
+            want_g, want_gp = measure.g_nu_and_prime(m, zk)
+            assert abs(g[k] - want_g) <= 1e-15 * g_scale, zk
+            assert abs(gp[k] - want_gp) <= 1e-15 * gp_scale, zk
+            assert abs(lp[k] - measure.log_potential(m, zk)) <= 1e-15 * lp_scale, zk
+    on_axis = np.array([comps.max + 1.0 + 1j, comps.max + 1.0 + 0j])
+    for fn in (measure.g_nu_and_prime, measure.log_potential):
+        with pytest.raises(DomainError):
+            fn(m, on_axis)
 
 
 def _oracle(m, z):

@@ -96,9 +96,34 @@ def test_streams_are_deterministic_and_trial_dependent():
 @pytest.mark.parametrize("dist", simulate.ENTRY_DISTS)
 def test_noise_entries_standardized(dist, rng):
     g = simulate._trial_rng(7, 0)
-    x = simulate._noise(g, (200, 200), dist)
+    x = simulate._noise(g, (200, 200), dist, 1.0)
     assert abs(np.mean(x)) < 0.02
     assert np.mean(np.abs(x) ** 2) == pytest.approx(1.0, abs=0.02)
+
+
+def _unfused_noise(rng, shape, dist, scale):
+    """The noise draw as written before the scaling was fused into it."""
+    if dist == "complex-gaussian":
+        return ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                / math.sqrt(2.0)) * scale
+    if dist == "real-gaussian":
+        return rng.standard_normal(shape) * scale
+    table = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
+    return table[rng.integers(0, 4, size=shape)] * scale
+
+
+@pytest.mark.parametrize("dist", simulate.ENTRY_DISTS)
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (40, 25), (64, 128)])
+def test_noise_scaling_keeps_the_unfused_bytes(dist, shape):
+    # drawing Re and Im into one buffer scaled in place gives the bytes of
+    # ((re + 1j*im) / sqrt(2)) * (sigma / sqrt(N)) with its temporaries
+    for seed, trial, sigma in [(7, 0, 1.0), (7, 2, 0.3), (913, 1, 2.5),
+                               (2 ** 40 + 5, 9, 1e-3)]:
+        scale = sigma / math.sqrt(shape[1])
+        want = _unfused_noise(simulate._trial_rng(seed, trial), shape, dist, scale)
+        got = simulate._noise(simulate._trial_rng(seed, trial), shape, dist, scale)
+        assert got.dtype == want.dtype and got.shape == shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dist", simulate.ENTRY_DISTS)
@@ -111,8 +136,8 @@ def test_gram_eigenvalues_match_squared_singular_values(model, n, N, dist):
     # eigenvalues at c = 1 included
     cfg = SimConfig(n=n, N=N, model=model, entry_dist=dist, seed=31,
                     spikes=SpikeSpec((9.0,), (1,)), trials=2)
-    Y = simulate._noise(simulate._trial_rng(cfg.seed, 1), (n, N), dist) * (
-        model.sigma / math.sqrt(N))
+    Y = simulate._noise(simulate._trial_rng(cfg.seed, 1), (n, N), dist,
+                        model.sigma / math.sqrt(N))
     idx = np.arange(n)
     Y[idx, idx] += simulate.build_A(model, cfg.spikes, n)
     oracle = np.linalg.svd(Y, compute_uv=False) ** 2

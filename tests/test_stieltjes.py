@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from ipn import cli, measure, stieltjes, subordination
+from ipn import cli, measure, simulate, stieltjes, subordination
 from ipn.errors import ConvergenceError, DomainError
 from ipn.measure import MeasureSpec
+from ipn.simulate import SimConfig
 from ipn.subordination import ModelParams
 
 from conftest import (ALL_MODELS, DELTA1, MODEL_D1_C1, MODEL_D2_HALF, MODEL_SPLIT,
@@ -270,15 +271,51 @@ def test_cdf_array_reads_match_scalar_reads():
     for p in ALL_MODELS:
         sup = subordination.support(p)
         lo, hi = sup.intervals[0][0] - 0.5, sup.intervals[-1][1] + 0.5
-        xs = np.concatenate([np.linspace(lo, hi, 97), [hi, lo, -np.inf, np.inf]])
+        near = [(a + d, b - d) for a, b in sup.intervals  # toward every edge
+                for d in (b - a) * 10.0 ** -np.arange(1, 15)]
+        xs = np.concatenate([np.linspace(lo, hi, 97), np.ravel(near),
+                             [hi, lo, -np.inf, np.inf]])
         xs = np.concatenate([xs, np.random.default_rng(3).permutation(xs)])
         for x in (xs, np.sort(xs), xs.reshape(2, -1)):
             got = stieltjes.cdf_mu(p, x)
             assert got.shape == x.shape
             want = [stieltjes.cdf_mu(p, float(v)) for v in x.ravel()]
             assert np.max(np.abs(got.ravel() - want)) <= 1e-13
+    # the KS pass's input: a sorted pool of sampled eigenvalues, some of them
+    # just past the support edges
+    cfg = SimConfig(n=60, N=120, model=MODEL_SPLIT, seed=5, trials=2)
+    pooled = np.sort(np.concatenate([s.eigenvalues for s in simulate.run_trials(cfg)]))
+    want = [stieltjes.cdf_mu(MODEL_SPLIT, float(v)) for v in pooled]
+    assert np.max(np.abs(stieltjes.cdf_mu(MODEL_SPLIT, pooled) - want)) <= 1e-13
+    with pytest.MonkeyPatch.context() as mp:  # many sweeps, the last one short
+        mp.setattr(stieltjes, "_SWEEP_POINTS", 7)
+        assert np.max(np.abs(stieltjes.cdf_mu(MODEL_SPLIT, pooled) - want)) <= 1e-13
     with pytest.raises(DomainError):
         stieltjes.cdf_mu(MODEL_SPLIT, np.array([1.0, math.nan, 3.0]))
+
+
+@pytest.mark.parametrize("force", ["warm_on_axis", "axis_guard"])
+@pytest.mark.parametrize("p", [MODEL_D1_C1, MODEL_SPLIT], ids=["d1_c1", "split"])
+def test_cdf_array_falls_back_to_scalar_solves(monkeypatch, p, force):
+    # warm roots moved onto the real axis, or a guard that rejects every
+    # root the sweep settles: each interior point then goes through _omega,
+    # and the values stay those of the scalar reads
+    sup = subordination.support(p)
+    xs = np.linspace(sup.intervals[0][0] - 0.5, sup.intervals[-1][1] + 0.5, 81)
+    want = [stieltjes.cdf_mu(p, float(x)) for x in xs]
+    if force == "warm_on_axis":
+        warm = stieltjes._IntervalCdf.warm
+        monkeypatch.setattr(stieltjes._IntervalCdf, "warm",
+                            lambda self, x: np.real(warm(self, x)) + 0j)
+    else:
+        monkeypatch.setattr(stieltjes, "_AXIS_GUARD", 10.0)
+    solved = []
+    omega = stieltjes._omega
+    monkeypatch.setattr(stieltjes, "_omega",
+                        lambda p, z, w=None: solved.append(z.real) or omega(p, z, w))
+    got = stieltjes.cdf_mu(p, xs)
+    assert solved == [x for x in xs if any(lo < x < hi for lo, hi in sup.intervals)]
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_quantile_level_validation():
