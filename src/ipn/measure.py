@@ -230,7 +230,7 @@ def _off_real_axis(z: np.ndarray) -> None:
 def log_potential(m: MeasureSpec, z):
     """Integral of log(z - x) against ``m`` for Im z > 0, principal branch,
     at a complex scalar or elementwise a complex numpy array (DomainError
-    for an array element on the real axis).
+    for a scalar or an array element on the real axis).
 
     Its derivative is ``g_nu``, and Im of it tends to pi * m((x, inf)) as z
     tends to a real x off supp(m) from above.
@@ -239,6 +239,8 @@ def log_potential(m: MeasureSpec, z):
     if isinstance(z, np.ndarray):
         _off_real_axis(z)
         log = np.log
+    elif z.imag == 0.0:
+        raise DomainError(f"z={z!r} lies on the real axis")
     total = 0j
     for w, t in m.atoms:
         total += w * log(z - t)

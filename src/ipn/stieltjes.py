@@ -9,13 +9,13 @@ without extrapolation; off the open support it is exactly zero.  The CDF has
 a closed form at the same root (``_cdf_at``), which on a gap reduces to the
 mass correspondence mu((-inf, x]) = nu((-inf, omega(x)]).  One table per
 support interval holds adaptive Simpson nodes with their roots and exact CDF
-values: ``cdf_mu`` warm-starts from them and ``quantile_mu`` brackets its
-Newton run between two of them, while the Simpson mass of the density
-(``interval_masses``) stays an independent check.  For an array, ``cdf_mu``
-solves its interior points together, by Newton sweeps over complex numpy
-arrays (``_omega_array``) through the same transform kernel; a point a
-sweep does not settle falls back to ``_omega``.  ``h_residual`` checks the
-rectangular-convolution subordination identity.
+values: ``quantile_mu`` brackets its Newton run between two of them, and the
+Simpson mass of the density (``interval_masses``) stays an independent check.
+``density`` and an array ``cdf_mu`` share one read (``_read_interior``): each
+interior point warm-starts from its nearest node, and all are solved
+together by Newton sweeps over complex numpy arrays (``_omega_array``); a
+point a sweep does not settle falls back to ``_omega``.  ``h_residual``
+checks the rectangular-convolution subordination identity.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ _FLOOR_TOL = 1e-8
 #: phi(u) = x inside a complement interval, not the boundary value of omega.
 _AXIS_GUARD = 1e-9
 
-#: Points per batched sweep of an array ``cdf_mu``.  A sweep holds a few
+#: Points per batched sweep of ``_read_interior``.  A sweep holds a few
 #: dozen complex temporaries of this length; at 20,000 points in one sweep
 #: they raised the peak memory of the KS pass from 1.6 to 6.3 MB.
 _SWEEP_POINTS = 2048
@@ -180,48 +180,40 @@ def solve_g(p: ModelParams, z: complex) -> GSolution:
     return GSolution(z=z, g=g, iterations=steps, residual=r)
 
 
-def _density_at(p: ModelParams, x: float, warm: complex | None
-                ) -> tuple[float, complex]:
-    """Density -Im g(x) / pi at x strictly inside the support, and the root
-    u = omega(x + i0) it came from, solved warm from ``warm``.  Values in
+def _density_from(p: ModelParams, x, u):
+    """Density -Im g(x) / pi at x strictly inside the support from its root
+    u = omega(x + i0); elementwise for arrays x and u.  Values in
     [NEGATIVE_DENSITY_FLOOR, 0) clamp to zero; a lower value or NaN raises
-    ConvergenceError, as does a failed solve."""
-    u, _ = _omega(p, complex(x, 0.0), warm)
+    ConvergenceError.  The table integrand and ``density`` both read it."""
     f = -_g_mu(p, u).imag / math.pi
-    if not f >= NEGATIVE_DENSITY_FLOOR:
-        raise ConvergenceError(f"density solve failed at x={x!r}: {f!r}")
-    return max(f, 0.0), u
+    low = f.min(initial=0.0) if isinstance(f, np.ndarray) else f  # NaN propagates
+    if not low >= NEGATIVE_DENSITY_FLOOR:
+        at = np.ravel(x)[np.argmin(f)]  # the first NaN, if any
+        raise ConvergenceError(f"density solve failed at x={float(at)!r}: {float(low)!r}")
+    return np.maximum(f, 0.0) if isinstance(f, np.ndarray) else max(f, 0.0)
 
 
 def density(p: ModelParams, xs) -> DensityGrid:
     """Density of the limit law on an ordered grid, -Im g(x) / pi.
 
-    g is solved on the real axis itself, each point warm-started from the
-    last (see ``_density_at``); a point that fails raises ConvergenceError.
-    Points not strictly inside a support interval (the edges and the gaps)
-    get exactly zero without a solve, so a hard edge at zero (c = 1) reads
-    0 there and is solved like any other point just above it.  The grid
-    must stay within a bounding box around the computed support.
+    g is solved on the real axis itself, by the table-warm sweep that an
+    array ``cdf_mu`` reads (``_read_interior``); a point that fails raises
+    ConvergenceError.  Points not strictly inside a support interval (the
+    edges and the gaps, zero too when it is the hard edge at c = 1) get
+    exactly zero.  The grid must lie in a bounding box around the support.
     """
     sup = subordination.support(p)
     xs = [float(x) for x in xs]
     if any(b < a for a, b in zip(xs, xs[1:])):
         raise DomainError("density grid must be ascending")
-    lo = min(0.0, sup.intervals[0][0])
-    hi = sup.intervals[-1][1]
+    lo, hi = min(0.0, sup.intervals[0][0]), sup.intervals[-1][1]
     pad = 0.5 * (hi - lo) + 1.0
     for x in xs:
         if not lo - pad <= x <= hi + pad:
             raise DomainError(f"grid point {x!r} outside the support bounding box")
-    warm = None
-    fs = []
-    for x in xs:
-        if not any(a < x < b for a, b in sup.intervals):
-            fs.append(0.0)
-            continue
-        f, warm = _density_at(p, x, warm)
-        fs.append(f)
-    return DensityGrid(xs=tuple(xs), fs=tuple(fs), eps_used=0.0)
+    fs, inner = _read_interior(p, np.array(xs, dtype=float), _density_from)
+    fs[~inner] = 0.0
+    return DensityGrid(xs=tuple(xs), fs=tuple(fs.tolist()), eps_used=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +291,9 @@ def _interval_cdf(p: ModelParams, lo: float, hi: float, below: float,
         x = lo + half * (1.0 - math.cos(t))
         if not (0.0 < t < math.pi and lo < x < hi):
             return 0.0
-        f, warm = _density_at(p, x, warm)
+        warm, _ = _omega(p, complex(x, 0.0), warm)
         roots[x] = warm
-        return f * half * math.sin(t)
+        return _density_from(p, x, warm) * half * math.sin(t)
 
     fa, fm, fb = integrand(0.0), integrand(0.5 * math.pi), integrand(math.pi)
     mass = _refine(integrand, 0.0, math.pi, fa, fm, fb,
@@ -365,6 +357,30 @@ def _omega_array(p: ModelParams, x: np.ndarray, warm: np.ndarray) -> np.ndarray:
     return u
 
 
+def _read_interior(p: ModelParams, x: np.ndarray, read) -> tuple[np.ndarray, np.ndarray]:
+    """The one read of omega(x + i0) at an array of real points x: at the
+    points strictly inside a support interval (the returned mask), read(p,
+    x, u) of their roots u, each solved warm from the nearest table node by
+    ``_omega_array`` sweeps, _SWEEP_POINTS points at a time; elsewhere the
+    CDF plateau, the nu-mass of the complement intervals to the left."""
+    data = _cdf_data(p)
+    # index of the first interval whose right edge lies above each point
+    k = np.searchsorted([ic.xs[-1] for ic in data], x, side="right")
+    out = np.full(x.shape, data[-1].fs[-1])
+    inner = np.zeros(x.shape, dtype=bool)
+    warm = np.zeros(x.shape, dtype=complex)
+    for j, ic in enumerate(data):
+        at = k == j
+        out[at] = ic.fs[0]
+        here = at & (x > ic.xs[0])
+        warm[here] = ic.warm(x[here])
+        inner |= here
+    idx = np.flatnonzero(inner)
+    for chunk in np.split(idx, range(_SWEEP_POINTS, idx.size, _SWEEP_POINTS)):
+        out[chunk] = read(p, x[chunk], _omega_array(p, x[chunk], warm[chunk]))
+    return out, inner
+
+
 def cdf_mu(p: ModelParams, x):
     """CDF of the limit law at x, a float or elementwise a numpy array.
 
@@ -372,9 +388,8 @@ def cdf_mu(p: ModelParams, x):
     [u_l, v_l] to the left of x (the mass-correspondence identity), so gap
     plateaus and the total mass are exact.  Inside a support interval it is
     the closed form ``_cdf_at`` at u = omega(x + i0), solved warm from the
-    nearest table node: by ``_omega`` for a float, and for an array by
-    ``_omega_array`` sweeps over its interior points, _SWEEP_POINTS at a
-    time.  A NaN anywhere in x raises DomainError.
+    nearest table node: by ``_omega`` for a float, and for an array by the
+    sweeps of ``_read_interior``.  A NaN anywhere in x raises DomainError.
     """
     data = _cdf_data(p)
     if np.ndim(x) == 0:
@@ -393,22 +408,7 @@ def cdf_mu(p: ModelParams, x):
     xs = np.asarray(x, dtype=float)
     if np.isnan(xs).any():
         raise DomainError("cdf_mu is undefined at NaN")
-    flat = xs.ravel()
-    # index of the first interval whose right edge lies above each point
-    k = np.searchsorted([ic.xs[-1] for ic in data], flat, side="right")
-    out = np.full(flat.shape, data[-1].fs[-1])
-    inner = np.zeros(flat.shape, dtype=bool)
-    warm = np.zeros(flat.shape, dtype=complex)
-    for j, ic in enumerate(data):
-        at = k == j
-        out[at] = ic.fs[0]
-        here = at & (flat > ic.xs[0])
-        warm[here] = ic.warm(flat[here])
-        inner |= here
-    idx = np.flatnonzero(inner)
-    for chunk in np.split(idx, range(_SWEEP_POINTS, idx.size, _SWEEP_POINTS)):
-        out[chunk] = _cdf_at(p, flat[chunk], _omega_array(p, flat[chunk], warm[chunk]))
-    return out.reshape(xs.shape)
+    return _read_interior(p, xs.ravel(), _cdf_at)[0].reshape(xs.shape)
 
 
 def quantile_mu(p: ModelParams, alpha: float) -> float:

@@ -349,6 +349,12 @@ def test_complex_arrays_match_scalar_transforms(m):
     for fn in (measure.g_nu_and_prime, measure.log_potential):
         with pytest.raises(DomainError):
             fn(m, on_axis)
+    # a scalar on the real axis too, on the support (where cmath.log would
+    # raise a bare ValueError at an atom) or off it, float or complex
+    for x in (comps.max, comps.max + 1.0):
+        for z in (x, complex(x, 0.0)):
+            with pytest.raises(DomainError):
+                measure.log_potential(m, z)
 
 
 def _oracle(m, z):

@@ -17,6 +17,17 @@ from conftest import (ALL_MODELS, DELTA1, MODEL_D1_C1, MODEL_D2_HALF, MODEL_SPLI
                       MODEL_UNIFORM, off_support_grid)
 
 
+EPS = np.finfo(float).eps
+
+
+def scalar_density(p: ModelParams, x: float) -> float:
+    """The density at x from one cold scalar solve, or exactly 0 off the open
+    support."""
+    if any(a < x < b for a, b in subordination.support(p).intervals):
+        return stieltjes._density_from(p, x, stieltjes._omega(p, complex(x, 0.0))[0])
+    return 0.0
+
+
 def edge_clustered_grid(lo: float, hi: float, n: int = 480) -> list[float]:
     """Cosine-clustered grid; resolves square-root edges for trapezoid sums."""
     theta = np.linspace(0.0, math.pi, n)
@@ -117,16 +128,22 @@ def test_density_vanishes_outside_support():
 def test_density_raises_on_a_failed_point(monkeypatch, capsys):
     # a point whose solve fails raises instead of leaving a NaN in the grid
     # the support of MODEL_D1_C1 is [0, 6.75]: fail at 3.375, the middle
-    # point of the library grid below and of the CLI's 5-point grid
+    # point of the library grid below and of the CLI's 5-point grid; its
+    # warm root is moved onto the real axis, so the sweep hands it to _omega
     xs = [1.0, 2.0, 3.375, 4.0, 5.0]
-    real = stieltjes._omega
+    warm, real = stieltjes._IntervalCdf.warm, stieltjes._omega
+
+    def on_axis(self, x):
+        w = warm(self, x)
+        return np.where(x == 3.375, w.real + 0j, w)
 
     def failing(p, z, warm=None):
         if z.real == 3.375:
             raise ConvergenceError("injected failure")
         return real(p, z, warm)
+    monkeypatch.setattr(stieltjes._IntervalCdf, "warm", on_axis)
     monkeypatch.setattr(stieltjes, "_omega", failing)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="injected failure"):
         stieltjes.density(MODEL_D1_C1, xs)
     code = cli.run(["density", "--sigma", "1", "--c", "1", "--nu",
                     '{"atoms":[{"w":1,"t":1}]}', "--points", "5", "--no-timestamp"])
@@ -154,6 +171,7 @@ def test_density_two_interval_masses():
 def test_density_grid_preconditions():
     # zero is the support edge at c = 1 here: exactly 0, without a solve
     assert stieltjes.density(MODEL_D1_C1, [0.0]).fs == (0.0,)
+    assert stieltjes.density(MODEL_D1_C1, []) == stieltjes.DensityGrid((), (), 0.0)
     with pytest.raises(DomainError):
         stieltjes.density(MODEL_D1_C1, [1e3])  # outside the bounding box
     with pytest.raises(DomainError):
@@ -281,6 +299,15 @@ def test_cdf_array_reads_match_scalar_reads():
             assert got.shape == x.shape
             want = [stieltjes.cdf_mu(p, float(v)) for v in x.ravel()]
             assert np.max(np.abs(got.ravel() - want)) <= 1e-13
+        # density reads its grid through the same sweep; next to a square-root
+        # edge f moves by f eps |x| / (2 d) per rounding unit of x, at a
+        # distance d from the edge, so both reads agree only to that there
+        grid = np.sort(xs[np.isfinite(xs)])
+        got = np.array(stieltjes.density(p, grid).fs)
+        want = np.array([scalar_density(p, v) for v in grid])
+        d = np.min(np.abs(grid[:, None] - np.ravel(sup.intervals)), axis=1)
+        bound = 1e-13 * np.maximum(1.0, want) + 4.0 * want * EPS * np.abs(grid) / d
+        assert np.all(np.abs(got - want) <= bound)
     # the KS pass's input: a sorted pool of sampled eigenvalues, some of them
     # just past the support edges
     cfg = SimConfig(n=60, N=120, model=MODEL_SPLIT, seed=5, trials=2)
@@ -294,15 +321,22 @@ def test_cdf_array_reads_match_scalar_reads():
         stieltjes.cdf_mu(MODEL_SPLIT, np.array([1.0, math.nan, 3.0]))
 
 
+@pytest.mark.parametrize("read", ["cdf_mu", "density"])
 @pytest.mark.parametrize("force", ["warm_on_axis", "axis_guard"])
 @pytest.mark.parametrize("p", [MODEL_D1_C1, MODEL_SPLIT], ids=["d1_c1", "split"])
-def test_cdf_array_falls_back_to_scalar_solves(monkeypatch, p, force):
+def test_cdf_array_falls_back_to_scalar_solves(monkeypatch, p, force, read):
     # warm roots moved onto the real axis, or a guard that rejects every
     # root the sweep settles: each interior point then goes through _omega,
     # and the values stay those of the scalar reads
     sup = subordination.support(p)
     xs = np.linspace(sup.intervals[0][0] - 0.5, sup.intervals[-1][1] + 0.5, 81)
-    want = [stieltjes.cdf_mu(p, float(x)) for x in xs]
+    if read == "cdf_mu":
+        array_read, scalar_read = stieltjes.cdf_mu, stieltjes.cdf_mu
+    else:
+        array_read = lambda p, xs: np.array(stieltjes.density(p, xs).fs)
+        scalar_read = scalar_density
+    want = [scalar_read(p, float(x)) for x in xs]
+    stieltjes.interval_masses(p)  # the tables, built before the patches
     if force == "warm_on_axis":
         warm = stieltjes._IntervalCdf.warm
         monkeypatch.setattr(stieltjes._IntervalCdf, "warm",
@@ -313,7 +347,7 @@ def test_cdf_array_falls_back_to_scalar_solves(monkeypatch, p, force):
     omega = stieltjes._omega
     monkeypatch.setattr(stieltjes, "_omega",
                         lambda p, z, w=None: solved.append(z.real) or omega(p, z, w))
-    got = stieltjes.cdf_mu(p, xs)
+    got = array_read(p, xs)
     assert solved == [x for x in xs if any(lo < x < hi for lo, hi in sup.intervals)]
     assert np.max(np.abs(got - want)) <= 1e-13
 
