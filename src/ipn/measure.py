@@ -179,11 +179,11 @@ def g_nu_and_prime(m: MeasureSpec, z):
     Accepts complex z off the real axis (a complex scalar, or elementwise a
     complex numpy array), or real z (a float, or elementwise a real numpy
     array) at positive distance from the support.  DomainError is raised if
-    any real point lies on the support, and for a complex array with an
-    element on the real axis.  Outputs have the input's shape, real for real
-    inputs; in a gap the derivative is strictly negative.  Segments use the
-    principal branch of log((z-lo)/(z-hi)), which is analytic off the
-    segment.
+    any real point is NaN or lies on the support, and for a complex array
+    with an element on the real axis.  Outputs have the input's shape, real
+    for real inputs; in a gap the derivative is strictly negative.  Segments
+    use the principal branch of log((z-lo)/(z-hi)), which is analytic off
+    the segment.
     """
     if isinstance(z, complex) and z.imag != 0.0:
         g = gp = 0j
@@ -194,14 +194,16 @@ def g_nu_and_prime(m: MeasureSpec, z):
         log = np.log
     elif isinstance(z, np.ndarray):
         z, log = np.asarray(z, dtype=float), np.log
-        on = support_of(m).distance(z) <= ATOL
+        on = ~(support_of(m).distance(z) > ATOL)
         if on.any():
-            raise DomainError(f"x={z[on]!r} lies on the support of the measure")
+            raise DomainError(
+                f"x={z[on]!r} is NaN or lies on the support of the measure")
         g = gp = 0.0
     else:
         z, log = float(z.real), math.log
-        if support_of(m).distance(z) <= ATOL:
-            raise DomainError(f"x={z!r} lies on the support of the measure")
+        if not support_of(m).distance(z) > ATOL:
+            raise DomainError(
+                f"x={z!r} is NaN or lies on the support of the measure")
         g = gp = 0.0
     for w, t in m.atoms:
         d = z - t

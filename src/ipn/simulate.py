@@ -360,8 +360,7 @@ def omega_gap(model: ModelParams, gap: tuple[float, float]) -> tuple[float, floa
     k = sup.gap_index(a)
     if k is None or sup.gap_index(b) != k:
         raise PreconditionError("gap overlaps the computed support")
-    omega_a = subordination.omega(model, a)
-    omega_b = math.inf if b == math.inf else subordination.omega(model, b)
+    omega_a, omega_b = subordination.omega(model, a), subordination.omega(model, b)
     if model.c < 1.0 and omega_a <= 0.0:
         raise PreconditionError("separation requires omega(a) > 0 when c < 1")
     return omega_a, omega_b

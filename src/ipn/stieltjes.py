@@ -162,8 +162,8 @@ def solve_g(p: ModelParams, z: complex) -> GSolution:
     Im(z g) <= 0.
     """
     z = complex(z)
-    if z.imag <= 0.0:
-        raise DomainError(f"solve_g requires Im z > 0, got {z!r}")
+    if not (z.imag > 0.0 and cmath.isfinite(z)):
+        raise DomainError(f"solve_g requires a finite z with Im z > 0, got {z!r}")
     u, steps = _omega(p, z)
     for k in range(4):  # at the rounding floor Newton steps dither around u
         g = _g_mu(p, u)
@@ -373,8 +373,9 @@ def _read_interior(p: ModelParams, x: np.ndarray, read) -> tuple[np.ndarray, np.
         at = k == j
         out[at] = ic.fs[0]
         here = at & (x > ic.xs[0])
-        warm[here] = ic.warm(x[here])
-        inner |= here
+        if here.any():
+            warm[here] = ic.warm(x[here])
+            inner |= here
     idx = np.flatnonzero(inner)
     for chunk in np.split(idx, range(_SWEEP_POINTS, idx.size, _SWEEP_POINTS)):
         out[chunk] = read(p, x[chunk], _omega_array(p, x[chunk], warm[chunk]))
@@ -431,21 +432,18 @@ def quantile_mu(p: ModelParams, alpha: float) -> float:
     if j == len(ic.fs) or ic.fs[j] == alpha:
         return ic.xs[min(j, len(ic.xs) - 1)]
     a, b = ic.xs[j - 1], ic.xs[j]
-    x_last, u = None, ic.us[j - 1] or ic.us[j]
+    u = ic.us[j - 1] or ic.us[j]
 
-    def solve(x: float) -> complex:
-        nonlocal x_last, u
-        if x != x_last:
-            u, _ = _omega(p, complex(x, 0.0), u)
-            x_last = x
-        return u
+    def fd(x: float) -> tuple[float, float]:
+        nonlocal u
+        if x <= a:  # the bracket's ends are nodes: their exact CDF, no solve
+            return ic.fs[j - 1] - alpha, 0.0
+        if x >= b:
+            return ic.fs[j] - alpha, 0.0
+        u, _ = _omega(p, complex(x, 0.0), u)  # warm from the last solve
+        return _cdf_at(p, x, u) - alpha, -_g_mu(p, u).imag / math.pi
 
-    def f(x: float) -> float:
-        return ic.fs[j - 1] - alpha if x <= a else _cdf_at(p, x, solve(x)) - alpha
-
-    return subordination._bracketed_root(
-        f, a, b, 1e-15 * (1.0 + abs(b)),
-        lambda x: (f(x), -_g_mu(p, solve(x)).imag / math.pi))
+    return subordination._bracketed_root(fd, a, b, 1e-15 * (1.0 + abs(b)))
 
 
 def h_residual(p: ModelParams, x: float) -> float:

@@ -134,16 +134,20 @@ def phi_prime(p: ModelParams, x):
     return phi_and_prime(p, x)[1]
 
 
-def _bracketed_root(f, a: float, b: float, xtol: float,
-                    f_and_prime=None) -> float:
-    """Root of f in [a, b], where f changes sign, to within xtol: bisection,
-    or with ``f_and_prime`` (f and f' at one point, from one call) Newton
-    steps, each kept inside the shrinking bracket (a bisection step where
-    f' is 0)."""
-    fa = f(a)
+def _bracketed_root(fd, a: float, b: float, xtol: float) -> float:
+    """Root in [a, b] of f, to within xtol, where fd(x) gives f(x) and f'(x)
+    from one call: Newton steps, each kept inside the shrinking bracket, and
+    a bisection step where f' is 0.  Each end is evaluated once.  Unless
+    f(a) and f(b) differ strictly in sign, the end with the smaller |f| is
+    returned: an end where f is 0, or for a monotone f with no root in
+    [a, b] the end nearest it."""
+    fa, _ = fd(a)
+    fb, _ = fd(b)
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
+        return a if abs(fa) <= abs(fb) else b
     x = 0.5 * (a + b)
     for _ in range(200):
-        fx, d = (f(x), 0.0) if f_and_prime is None else f_and_prime(x)
+        fx, d = fd(x)
         if (fx > 0.0) == (fa > 0.0):
             a, fa = x, fx
         else:
@@ -222,8 +226,8 @@ def _positive_pieces(p: ModelParams, lo: float, hi: float, xs: np.ndarray,
     xs, pos = xs[keep], vals[keep] > 0.0
     if not pos.size:
         return []
-    marks = [_bracketed_root(lambda u: phi_prime(p, u), float(xs[i]), float(xs[i + 1]),
-                             BOUNDARY_XTOL * 0.1)
+    marks = [_bracketed_root(lambda u: (phi_prime(p, u), 0.0), float(xs[i]),
+                             float(xs[i + 1]), BOUNDARY_XTOL * 0.1)
              for i in np.flatnonzero(pos[1:] != pos[:-1])]
     edges = [-math.inf if open_lo else lo, *marks, math.inf if open_hi else hi]
     pieces = list(zip(edges, edges[1:]))
@@ -251,17 +255,12 @@ def g_threshold_crossing(p: ModelParams, gap: tuple[float, float]) -> float | No
     else:
         left = gap_lo + _endpoint_guard(gap_lo)
     right = gap_hi - _endpoint_guard(gap_hi)
-    f = lambda u: measure.g_nu(p.nu, u) - thr
-    if f(right) >= 0.0:
-        return right
-    if f(left) <= 0.0:
-        return left
 
-    def f_and_prime(u):
+    def fd(u):
         g, gp = measure.g_nu_and_prime(p.nu, u)
         return g - thr, gp
 
-    return _bracketed_root(f, left, right, BOUNDARY_XTOL * 0.1, f_and_prime)
+    return _bracketed_root(fd, left, right, BOUNDARY_XTOL * 0.1)
 
 
 def _drop_slivers(pieces: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -394,32 +393,30 @@ def omega(p: ModelParams, x: float) -> float:
     ``x`` must lie strictly outside the support of the limit law.  On the
     matching admissible-set component ``phi`` is strictly increasing, so
     Newton on phi(u) = x is kept inside a bracket of that component that
-    shrinks with every step.  An unbounded component is cut to a bracket by
-    the facts behind ``_window``.  The residual |phi(omega(x)) - x| is at
-    most 1e-10 * max(1, |x|).
+    shrinks with every step; where phi at an end of the bracket is already
+    past x (rounding next to a support edge), that end is returned.  An
+    unbounded component is cut to a bracket by the facts behind ``_window``.
+    The residual |phi(omega(x)) - x| is at most 1e-10 * max(1, |x|), and
+    omega(-inf) = -inf, omega(inf) = inf.
     """
     sup = support(p)
     k = sup.gap_index(x)
     if k is None:
         raise DomainError(f"x={x!r} lies in the support of the limit law")
+    if math.isinf(x):
+        return x  # phi(u) - u stays bounded as |u| grows; phi(u) - x would be NaN
     lo_b, hi_b = sup.admissible.gaps()[k]
     if math.isinf(hi_b):
         hi_b = x  # x > phi(v_p) > v_p, and phi(x) > x by (F1)
     if math.isinf(lo_b):
         # u_1 >= -s^2 (1+c), and phi(u) <= u + s^2 (1+c) < x below by (F2)
         lo_b = min(x, 0.0) - p.sigma ** 2 * (1.0 + p.c) - 1.0
-    f = lambda u: phi(p, u) - x
 
-    def f_and_prime(u):
+    def fd(u):
         val, slope = phi_and_prime(p, u)
         return val - x, slope
 
-    if f(lo_b) >= 0.0:
-        u = lo_b
-    elif f(hi_b) <= 0.0:
-        u = hi_b
-    else:
-        u = _bracketed_root(f, lo_b, hi_b, 1e-13, f_and_prime)
+    u = _bracketed_root(fd, lo_b, hi_b, 1e-13)
     if abs(phi(p, u) - x) > 1e-10 * max(1.0, abs(x)):
         raise ConvergenceError(f"omega residual too large at x={x!r}")
     return u

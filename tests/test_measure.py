@@ -108,6 +108,10 @@ def test_g_inside_support_rejected():
         measure.g_nu(UNIFORM_13, 2.5)
     with pytest.raises(DomainError):
         measure.g_nu(UNIFORM_13, 1.0 + 1e-14)
+    with pytest.raises(DomainError):
+        measure.g_nu_and_prime(UNIFORM_13, math.nan)
+    with pytest.raises(DomainError):
+        measure.g_nu_and_prime(UNIFORM_13, np.array([0.0, math.nan]))
 
 
 def test_g_complex_matches_real_limit():

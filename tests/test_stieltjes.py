@@ -78,6 +78,12 @@ def test_solve_g_requires_upper_half_plane():
         stieltjes.solve_g(MODEL_D1_C1, complex(2.0, 0.0))
     with pytest.raises(DomainError):
         stieltjes.solve_g(MODEL_D1_C1, complex(2.0, -1.0))
+    # and a finite z: an infinite one overflowed the continuation's stage
+    # count, and a NaN one ran the whole continuation before failing
+    for z in (complex(math.inf, 1.0), complex(1.0, math.inf),
+              complex(1.0, math.nan), complex(math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            stieltjes.solve_g(MODEL_SPLIT, z)
 
 
 def test_solve_g_sign_constraints_random_points(rng):

@@ -130,6 +130,32 @@ def test_admissible_set_point_mass_c1():
     assert adm.v[0] == pytest.approx(3.0, abs=1e-11)
 
 
+@pytest.mark.parametrize("fd, expected", [
+    (lambda x: (x - 0.3, 1.0), 0.3),
+    (lambda x: (0.3 - x, -1.0), 0.3),
+    (lambda x: (x - 0.3, 0.0), 0.3),
+    (lambda x: (x, 1.0), 0.0),
+    (lambda x: (x - 1.0, 1.0), 1.0),
+    (lambda x: (x + 1.0, 1.0), 0.0),
+    (lambda x: (3.0 - x, -1.0), 1.0),
+    (lambda x: (x - 2.0, 1.0), 1.0),
+    (lambda x: (-x - 2.0, -1.0), 0.0),
+], ids=["increasing", "decreasing", "bisection", "f(a)=0", "f(b)=0",
+        "positive-increasing", "positive-decreasing", "negative-increasing",
+        "negative-decreasing"])
+def test_bracketed_root_contract(fd, expected):
+    # each end is evaluated once; without a strict sign change the end with
+    # the smaller |f| comes back as it is, and nothing else is evaluated
+    calls = []
+    root = subordination._bracketed_root(lambda x: calls.append(x) or fd(x),
+                                         0.0, 1.0, 1e-14)
+    assert calls[:2] == [0.0, 1.0] and calls.count(0.0) == calls.count(1.0) == 1
+    if expected in (0.0, 1.0):
+        assert root == expected and len(calls) == 2
+    else:
+        assert root == pytest.approx(expected, abs=1e-13)
+
+
 def test_g_condition_boundary_point_mass():
     # the g-threshold crossing in the gap left of the atom at 2 sits at 3/2
     crossing = subordination.g_threshold_crossing(MODEL_D2_HALF, (-math.inf, 2.0))
@@ -336,9 +362,20 @@ def test_omega_inverse_pair_identity():
         4.0, abs=1e-10)
 
 
+def test_omega_at_the_ends_of_the_line():
+    # phi(u) - x is inf - inf there, which no bracket end rule can read
+    for x in (-math.inf, math.inf):
+        assert subordination.omega(MODEL_SPLIT, x) == x
+
+
 def test_omega_rejects_support_points():
     with pytest.raises(DomainError):
         subordination.omega(MODEL_D1_C1, 3.0)
+    # NaN raises as a point of supp(nu) does, rather than coming back as NaN
+    with pytest.raises(DomainError):
+        subordination.omega(MODEL_SPLIT, math.nan)
+    with pytest.raises(DomainError):
+        subordination.g_threshold_crossing(MODEL_SPLIT, (1.0, math.nan))
 
 
 @pytest.mark.parametrize("p", FIVE_MODELS)
