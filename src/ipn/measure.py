@@ -252,7 +252,10 @@ def log_potential(m: MeasureSpec, z):
 
 
 def cdf(m: MeasureSpec, x: float) -> float:
-    """Right-continuous distribution function of ``m`` at x."""
+    """Right-continuous distribution function of ``m`` at x; NaN raises
+    DomainError."""
+    if math.isnan(x):
+        raise DomainError("cdf is undefined at NaN")
     total = 0.0
     for w, t in m.atoms:
         if t <= x:

@@ -342,8 +342,12 @@ def separation_gaps(model: ModelParams, spikes: SpikeSpec
 
 
 def middle_window(piece: tuple[float, float]) -> tuple[float, float]:
-    """The middle 40% of a bounded piece: the default separation window."""
+    """The middle 40% of a bounded piece: the default separation window.
+    An unbounded or inverted piece raises PreconditionError."""
     lo, hi = piece
+    if not -math.inf < lo < hi < math.inf:
+        raise PreconditionError(f"separation window needs a bounded piece lo < hi, "
+                                f"got {piece!r}")
     width = hi - lo
     return lo + 0.3 * width, hi - 0.3 * width
 

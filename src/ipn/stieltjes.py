@@ -8,14 +8,16 @@ same solve at a real x inside the open support gives the density -Im g / pi
 without extrapolation; off the open support it is exactly zero.  The CDF has
 a closed form at the same root (``_cdf_at``), which on a gap reduces to the
 mass correspondence mu((-inf, x]) = nu((-inf, omega(x)]).  One table per
-support interval holds adaptive Simpson nodes with their roots and exact CDF
-values: ``quantile_mu`` brackets its Newton run between two of them, and the
-Simpson mass of the density (``interval_masses``) stays an independent check.
-``density`` and an array ``cdf_mu`` share one read (``_read_interior``): each
-interior point warm-starts from its nearest node, and all are solved
-together by Newton sweeps over complex numpy arrays (``_omega_array``); a
-point a sweep does not settle falls back to ``_omega``.  ``h_residual``
-checks the rectangular-convolution subordination identity.
+model holds adaptive Simpson nodes over every support interval with their
+roots and exact CDF values, and one ``locate`` finds a point in it: the CDF
+plateau off the open support, the nearest node's root to warm-start from
+inside.  Scalar and array ``cdf_mu`` and ``density`` read through it,
+``quantile_mu`` brackets its Newton run between two nodes, and the Simpson
+mass of the density (``interval_masses``) stays an independent check.  An
+array read solves its interior points together by Newton sweeps over complex
+numpy arrays (``_read_interior``); a point a sweep does not settle falls
+back to ``_omega``.  ``h_residual`` checks the rectangular-convolution
+subordination identity.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,7 +191,7 @@ def _density_from(p: ModelParams, x, u):
     if not low >= NEGATIVE_DENSITY_FLOOR:
         at = np.ravel(x)[np.argmin(f)]  # the first NaN, if any
         raise ConvergenceError(f"density solve failed at x={float(at)!r}: {float(low)!r}")
-    return np.maximum(f, 0.0) if isinstance(f, np.ndarray) else max(f, 0.0)
+    return np.maximum(f, 0.0) if isinstance(f, np.ndarray) else f if f >= 0.0 else 0.0
 
 
 def density(p: ModelParams, xs) -> DensityGrid:
@@ -241,29 +242,38 @@ def _cdf_at(p: ModelParams, x, u):
 
 
 @dataclass(frozen=True)
-class _IntervalCdf:
-    """CDF table of one support interval: the Simpson mass of the density
-    over it, the adaptive Simpson nodes xs (ascending, both edges included),
-    the roots u = omega(x + i0) found there (None at the edges, where omega
-    is real) and the exact CDF at each node (the nu-mass plateaus at the
-    edges)."""
+class _CdfTable:
+    """CDF table of a model: the Simpson mass of the density over each
+    support interval, and the adaptive Simpson nodes xs of all of them
+    (ascending, edges included) with their roots u = omega(x + i0), an edge
+    holding its interior neighbour's, and their exact CDF fs (the nu-mass
+    plateaus at the edges).  tops[k] indexes the upper edge of interval k,
+    caps[k] = fs[tops[k]] + 1e-15; ends[j] is the upper edge of the interval
+    holding (xs[j-1], xs[j]], or -inf where that span is a gap or off it."""
 
-    mass: float
-    xs: tuple[float, ...]
-    us: tuple[complex | None, ...]
-    fs: tuple[float, ...]
+    masses: tuple[float, ...]
+    xs: np.ndarray
+    us: np.ndarray
+    fs: np.ndarray
+    tops: tuple[int, ...]
+    caps: np.ndarray
+    ends: np.ndarray
 
-    def warm(self, x):
-        """The root at the interior node nearest to x; elementwise for an
-        array of points strictly inside the interval."""
+    def locate(self, x):
+        """(plateau, inside, warm) at x, elementwise for an array x: the CDF
+        at x unless x is strictly inside a support interval, whether it is,
+        and inside, the root at the node nearest to x to warm-start from."""
+        xs = self.xs
+        j = xs.searchsorted(x)  # xs[j-1] < x <= xs[j]
         if isinstance(x, np.ndarray):
-            xs = np.asarray(self.xs)
-            j = np.clip(np.searchsorted(xs, x), 1, len(xs) - 1)
-            k = np.where(x - xs[j - 1] <= xs[j] - x, j - 1, j)
-            return np.array(self.us[1:-1], dtype=complex)[np.clip(k, 1, len(xs) - 2) - 1]
-        j = bisect_left(self.xs, x, 1, len(self.xs) - 1)
-        k = j - 1 if x - self.xs[j - 1] <= self.xs[j] - x else j
-        return self.us[min(max(k, 1), len(self.xs) - 2)]
+            i = np.clip(j, 1, len(xs) - 1)
+            k = np.where(x - xs[i - 1] <= xs[i] - x, i - 1, i)
+            return self.fs[np.minimum(j, len(xs) - 1)], x < self.ends[j], self.us[k]
+        j = int(j)  # Python scalars here: numpy's per-call overhead shows in point reads
+        if not x < self.ends.item(j):
+            return self.fs.item(j if j < len(xs) else -1), False, None
+        k = j - 1 if x - xs.item(j - 1) <= xs.item(j) - x else j
+        return self.fs.item(j), True, self.us.item(k)
 
 
 def _refine(f, a, b, fa, fm, fb, whole, tol, depth) -> float:
@@ -278,9 +288,10 @@ def _refine(f, a, b, fa, fm, fb, whole, tol, depth) -> float:
             + _refine(f, m, b, fm, frm, fb, right, 0.5 * tol, depth + 1))
 
 
-def _interval_cdf(p: ModelParams, lo: float, hi: float, below: float,
-                  above: float) -> _IntervalCdf:
-    """Table of [lo, hi] with CDF plateaus ``below`` and ``above``: adaptive
+def _interval_nodes(p: ModelParams, lo: float, hi: float, below: float,
+                    above: float) -> tuple[float, list, list, list]:
+    """The mass and the (xs, us, fs) nodes of [lo, hi], edges included, for
+    ``_CdfTable``, with CDF plateaus ``below`` and ``above``: adaptive
     Simpson in the cosine parameter t of x = lo + (hi - lo)(1 - cos t)/2."""
     half = 0.5 * (hi - lo)
     roots: dict[float, complex] = {}
@@ -299,21 +310,28 @@ def _interval_cdf(p: ModelParams, lo: float, hi: float, below: float,
     mass = _refine(integrand, 0.0, math.pi, fa, fm, fb,
                    math.pi * (fa + 4.0 * fm + fb) / 6.0, 1e-6, 0)
     xs = sorted(roots)
-    return _IntervalCdf(
-        mass=mass, xs=(lo, *xs, hi), us=(None, *(roots[x] for x in xs), None),
-        fs=(below, *(_cdf_at(p, x, roots[x]) for x in xs), above))
+    us = [roots[x] for x in xs]
+    return (mass, [lo, *xs, hi], [us[0], *us, us[-1]],
+            [below, *(_cdf_at(p, x, roots[x]) for x in xs), above])
 
 
 @functools.lru_cache(maxsize=None)
-def _cdf_data(p: ModelParams) -> tuple[_IntervalCdf, ...]:
+def _cdf_data(p: ModelParams) -> _CdfTable:
     sup = subordination.support(p)
-    out = []
+    masses, xs, us, fs, tops, ends = [], [], [], [], [], []
     left = 0.0
     for (lo, hi), (u_l, v_l) in zip(sup.intervals, sup.admissible.intervals):
         nu_mass = measure.mass_between(p.nu, u_l, v_l)
-        out.append(_interval_cdf(p, lo, hi, min(left, 1.0), min(left + nu_mass, 1.0)))
+        mass, nxs, nus, nfs = _interval_nodes(p, lo, hi, min(left, 1.0),
+                                              min(left + nu_mass, 1.0))
         left += nu_mass
-    return tuple(out)
+        masses.append(mass)
+        ends += [-math.inf] + [hi] * (len(nxs) - 1)
+        xs, us, fs = xs + nxs, us + nus, fs + nfs
+        tops.append(len(xs) - 1)
+    fs = np.array(fs)
+    return _CdfTable(tuple(masses), np.array(xs), np.array(us, dtype=complex), fs,
+                     tuple(tops), fs[tops] + 1e-15, np.array(ends + [-math.inf]))
 
 
 def interval_masses(p: ModelParams) -> tuple[float, ...]:
@@ -323,7 +341,7 @@ def interval_masses(p: ModelParams) -> tuple[float, ...]:
     mass against the nu-mass of the matching [u_l, v_l] interval is the
     mass-correspondence verification.
     """
-    return tuple(ic.mass for ic in _cdf_data(p))
+    return _cdf_data(p).masses
 
 
 def _omega_array(p: ModelParams, x: np.ndarray, warm: np.ndarray) -> np.ndarray:
@@ -363,19 +381,7 @@ def _read_interior(p: ModelParams, x: np.ndarray, read) -> tuple[np.ndarray, np.
     x, u) of their roots u, each solved warm from the nearest table node by
     ``_omega_array`` sweeps, _SWEEP_POINTS points at a time; elsewhere the
     CDF plateau, the nu-mass of the complement intervals to the left."""
-    data = _cdf_data(p)
-    # index of the first interval whose right edge lies above each point
-    k = np.searchsorted([ic.xs[-1] for ic in data], x, side="right")
-    out = np.full(x.shape, data[-1].fs[-1])
-    inner = np.zeros(x.shape, dtype=bool)
-    warm = np.zeros(x.shape, dtype=complex)
-    for j, ic in enumerate(data):
-        at = k == j
-        out[at] = ic.fs[0]
-        here = at & (x > ic.xs[0])
-        if here.any():
-            warm[here] = ic.warm(x[here])
-            inner |= here
+    out, inner, warm = _cdf_data(p).locate(x)
     idx = np.flatnonzero(inner)
     for chunk in np.split(idx, range(_SWEEP_POINTS, idx.size, _SWEEP_POINTS)):
         out[chunk] = read(p, x[chunk], _omega_array(p, x[chunk], warm[chunk]))
@@ -392,19 +398,14 @@ def cdf_mu(p: ModelParams, x):
     nearest table node: by ``_omega`` for a float, and for an array by the
     sweeps of ``_read_interior``.  A NaN anywhere in x raises DomainError.
     """
-    data = _cdf_data(p)
     if np.ndim(x) == 0:
         x = float(x)
         if math.isnan(x):
             raise DomainError("cdf_mu is undefined at NaN")
-        for ic in data:
-            if not x >= ic.xs[-1]:
-                break
-        else:
-            return ic.fs[-1]
-        if not x > ic.xs[0]:
-            return ic.fs[0]
-        u, _ = _omega(p, complex(x, 0.0), ic.warm(x))
+        f, inside, warm = _cdf_data(p).locate(x)
+        if not inside:
+            return f
+        u, _ = _omega(p, complex(x, 0.0), warm)
         return _cdf_at(p, x, u)
     xs = np.asarray(x, dtype=float)
     if np.isnan(xs).any():
@@ -415,33 +416,32 @@ def cdf_mu(p: ModelParams, x):
 def quantile_mu(p: ModelParams, alpha: float) -> float:
     """Generalized inverse of ``cdf_mu`` for alpha strictly inside (0, 1).
 
-    The support interval comes from the nu-masses and the bracket between
-    two adjacent table nodes from bisection on the node CDF values; inside
-    it, Newton on ``cdf_mu`` - alpha with the density as the derivative,
-    kept inside the shrinking bracket (bisection where the density is 0).
+    The interval is the first whose upper plateau reaches alpha to within
+    1e-15, and the bracket between two of its table nodes comes from
+    bisection on their CDF values; inside it, Newton on ``cdf_mu`` - alpha
+    with the density as the derivative, kept inside the shrinking bracket
+    (bisection where the density is 0).
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"quantile level must be in (0, 1), got {alpha!r}")
-    data = _cdf_data(p)
-    for ic in data:
-        if alpha <= ic.fs[-1] + 1e-15:
-            break
-    else:
-        return data[-1].xs[-1]
-    j = bisect_left(ic.fs, alpha)  # ic.fs[j - 1] < alpha <= ic.fs[j]
-    if j == len(ic.fs) or ic.fs[j] == alpha:
-        return ic.xs[min(j, len(ic.xs) - 1)]
-    a, b = ic.xs[j - 1], ic.xs[j]
-    u = ic.us[j - 1] or ic.us[j]
+    t = _cdf_data(p)
+    k = int(t.caps.searchsorted(alpha))  # the first k with alpha <= caps[k]
+    if k == len(t.tops):
+        return t.xs.item(-1)
+    s, e = t.tops[k - 1] + 1 if k else 0, t.tops[k]
+    j = s + int(t.fs[s:e + 1].searchsorted(alpha))  # fs[j - 1] < alpha <= fs[j]
+    if j > e or t.fs.item(j) == alpha:
+        return t.xs.item(min(j, e))
+    a, b, u = t.xs.item(j - 1), t.xs.item(j), t.us.item(j - 1)
 
     def fd(x: float) -> tuple[float, float]:
         nonlocal u
         if x <= a:  # the bracket's ends are nodes: their exact CDF, no solve
-            return ic.fs[j - 1] - alpha, 0.0
+            return t.fs.item(j - 1) - alpha, 0.0
         if x >= b:
-            return ic.fs[j] - alpha, 0.0
+            return t.fs.item(j) - alpha, 0.0
         u, _ = _omega(p, complex(x, 0.0), u)  # warm from the last solve
-        return _cdf_at(p, x, u) - alpha, -_g_mu(p, u).imag / math.pi
+        return _cdf_at(p, x, u) - alpha, _density_from(p, x, u)
 
     return subordination._bracketed_root(fd, a, b, 1e-15 * (1.0 + abs(b)))
 

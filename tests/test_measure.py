@@ -192,6 +192,15 @@ def test_quantile_level_domain():
         measure.quantile(TWO_ATOMS, -0.1)
 
 
+def test_cdf_rejects_nan():
+    # a NaN point raises, as a NaN level does in quantile, instead of reading 0
+    for m in (TWO_ATOMS, MeasureSpec(segments=((1.0, 0.0, 2.0),))):
+        with pytest.raises(DomainError):
+            measure.cdf(m, math.nan)
+        with pytest.raises(DomainError):
+            measure.quantile(m, math.nan)
+
+
 def test_mass_between():
     assert measure.mass_between(TWO_ATOMS, 0.0, 3.0) == pytest.approx(0.5)
     assert measure.mass_between(UNIFORM_13, 1.5, 2.5) == pytest.approx(0.5)

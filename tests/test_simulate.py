@@ -250,6 +250,14 @@ def test_separation_gap_inside_support_rejected():
         simulate.verify_separation(cfg, (inside, inside + 0.5), [])
 
 
+def test_middle_window_requires_a_bounded_piece():
+    assert simulate.middle_window((1.0, 2.0)) == (1.3, 1.7)
+    for piece in ((1.0, math.inf), (-math.inf, 1.0), (2.0, 1.0), (1.0, 1.0),
+                  (math.nan, 1.0)):
+        with pytest.raises(PreconditionError):
+            simulate.middle_window(piece)
+
+
 def test_separation_requires_positive_omega_when_c_below_one():
     # points below the support minimum map to negative omega values
     sup = subordination.support(MODEL_SPLIT)

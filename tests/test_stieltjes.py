@@ -137,17 +137,17 @@ def test_density_raises_on_a_failed_point(monkeypatch, capsys):
     # point of the library grid below and of the CLI's 5-point grid; its
     # warm root is moved onto the real axis, so the sweep hands it to _omega
     xs = [1.0, 2.0, 3.375, 4.0, 5.0]
-    warm, real = stieltjes._IntervalCdf.warm, stieltjes._omega
+    locate, real = stieltjes._CdfTable.locate, stieltjes._omega
 
     def on_axis(self, x):
-        w = warm(self, x)
-        return np.where(x == 3.375, w.real + 0j, w)
+        f, inside, w = locate(self, x)
+        return f, inside, np.where(x == 3.375, w.real + 0j, w)
 
     def failing(p, z, warm=None):
         if z.real == 3.375:
             raise ConvergenceError("injected failure")
         return real(p, z, warm)
-    monkeypatch.setattr(stieltjes._IntervalCdf, "warm", on_axis)
+    monkeypatch.setattr(stieltjes._CdfTable, "locate", on_axis)
     monkeypatch.setattr(stieltjes, "_omega", failing)
     with pytest.raises(ConvergenceError, match="injected failure"):
         stieltjes.density(MODEL_D1_C1, xs)
@@ -262,6 +262,27 @@ def test_quantile_cdf_round_trip():
     assert stieltjes.quantile_mu(MODEL_SPLIT, 0.5) == pytest.approx(hi0, abs=1e-9)
 
 
+def test_quantile_plateau_rule():
+    # a level within rounding above a gap plateau still maps to the upper
+    # edge below the gap; one clearly above it starts the next interval
+    (lo0, hi0), (lo1, hi1) = subordination.support(MODEL_SPLIT).intervals
+    assert stieltjes.cdf_mu(MODEL_SPLIT, hi0) == 0.5
+    for alpha in (0.5, 0.5 + 4e-16):
+        assert stieltjes.quantile_mu(MODEL_SPLIT, alpha) == hi0
+    assert lo1 <= stieltjes.quantile_mu(MODEL_SPLIT, 0.5 + 2e-15) <= lo1 + 1e-6
+    assert stieltjes.quantile_mu(MODEL_SPLIT, 1.0 - 1e-16) <= hi1
+
+
+def test_quantile_raises_on_a_negative_density(monkeypatch):
+    # the Newton derivative is the checked density: a root with the wrong
+    # sign of Im g raises instead of steering the step the wrong way
+    stieltjes.interval_masses(MODEL_SPLIT)  # the tables, built before the patch
+    g_mu = stieltjes._g_mu
+    monkeypatch.setattr(stieltjes, "_g_mu", lambda p, u: g_mu(p, u).conjugate())
+    with pytest.raises(ConvergenceError, match="density solve failed"):
+        stieltjes.quantile_mu(MODEL_SPLIT, 0.3)
+
+
 @pytest.mark.parametrize("p", ALL_MODELS)
 def test_cdf_matches_density_quadrature(p):
     # adaptive quadrature of the density down from the upper edge (the grid
@@ -344,9 +365,12 @@ def test_cdf_array_falls_back_to_scalar_solves(monkeypatch, p, force, read):
     want = [scalar_read(p, float(x)) for x in xs]
     stieltjes.interval_masses(p)  # the tables, built before the patches
     if force == "warm_on_axis":
-        warm = stieltjes._IntervalCdf.warm
-        monkeypatch.setattr(stieltjes._IntervalCdf, "warm",
-                            lambda self, x: np.real(warm(self, x)) + 0j)
+        locate = stieltjes._CdfTable.locate
+
+        def on_axis(self, x):
+            f, inside, w = locate(self, x)
+            return f, inside, np.real(w) + 0j
+        monkeypatch.setattr(stieltjes._CdfTable, "locate", on_axis)
     else:
         monkeypatch.setattr(stieltjes, "_AXIS_GUARD", 10.0)
     solved = []
