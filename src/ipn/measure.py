@@ -19,10 +19,9 @@ scalars and arrays through one body.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,11 +44,13 @@ class MeasureSpec:
     within ``ATOL``; locations and endpoints must be nonnegative; segments
     must have pairwise disjoint interiors and atoms may not sit strictly
     inside a segment.  The point mass at zero alone is rejected (the theory
-    degenerates there).
+    degenerates there).  ``support`` is supp(m), built once here and left
+    out of comparison and hashing (see ``support_of``).
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
     segments: tuple[tuple[float, float, float], ...] = ()
+    support: SupportComponents = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         atoms = tuple(sorted((float(w), float(t)) for w, t in self.atoms))
@@ -88,6 +89,7 @@ class MeasureSpec:
                     raise ValueError("atoms may not lie in the interior of a segment")
         if not segments and len(atoms) == 1 and atoms[0][1] <= ATOL:
             raise ValueError("the point mass at zero alone is not admissible")
+        object.__setattr__(self, "support", _merged_support(atoms, segments))
 
     @classmethod
     def point_mass(cls, location: float) -> "MeasureSpec":
@@ -112,10 +114,15 @@ class SupportComponents:
     """Ordered disjoint closed intervals: supp(nu) (``support_of``; atoms are
     degenerate intervals unless they merge within ``ATOL`` into a segment),
     the admissible-set complement (``subordination.AdmissibleSet``) or the
-    support of the limit law (``subordination.SupportResult``).
+    support of the limit law (``subordination.SupportResult``).  ``lows``
+    holds the lower ends, which every lookup bisects.
     """
 
     intervals: tuple[tuple[float, float], ...]
+    lows: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lows", tuple(lo for lo, _ in self.intervals))
 
     @property
     def min(self) -> float:
@@ -126,11 +133,15 @@ class SupportComponents:
         return self.intervals[-1][1]
 
     def distance(self, x):
-        """Euclidean distance from x to the support; elementwise for an array."""
+        """Euclidean distance from x to the support; elementwise for an array.
+        A float reads only the two intervals around it, found by one
+        ``bisect``; NaN gives NaN."""
         if isinstance(x, np.ndarray):
             return np.min([np.maximum(np.maximum(lo - x, x - hi), 0.0)
                            for lo, hi in self.intervals], axis=0)
-        return min(max(lo - x, x - hi, 0.0) for lo, hi in self.intervals)
+        k = bisect_right(self.lows, x)  # lows[k-1] <= x < lows[k]; the end for NaN
+        below = max(x - self.intervals[k - 1][1], 0.0) if k else math.inf
+        return min(self.lows[k] - x, below) if k < len(self.lows) else below
 
     def gaps(self) -> list[tuple[float, float]]:
         """Open intervals of the complement, including the two unbounded ones."""
@@ -142,25 +153,27 @@ class SupportComponents:
 
     def interval_index(self, x: float) -> int | None:
         """Index into ``intervals`` of the one holding x; None in a gap."""
-        k = bisect_right(self.intervals, x, key=lambda iv: iv[0]) - 1
+        k = bisect_right(self.lows, x) - 1
         return k if k >= 0 and x <= self.intervals[k][1] else None
 
     def gap_index(self, x: float) -> int | None:
         """Index into ``gaps()`` of the open gap holding x; None when x lies
         on one of the closed intervals (endpoints included)."""
-        k = bisect_right(self.intervals, x, key=lambda iv: iv[0])
+        k = bisect_right(self.lows, x)
         return None if k and x <= self.intervals[k - 1][1] else k
 
 
-@functools.lru_cache(maxsize=None)
 def support_of(m: MeasureSpec) -> SupportComponents:
-    """Support of ``m`` as sorted disjoint closed intervals, computed once
-    per measure.
+    """Support of ``m`` as sorted disjoint closed intervals: ``m.support``,
+    built once with the measure."""
+    return m.support
 
-    Atoms within ``ATOL`` of a segment endpoint merge into that segment so
-    the components stay disjoint.
-    """
-    raw = [(t, t) for _, t in m.atoms] + [(lo, hi) for _, lo, hi in m.segments]
+
+def _merged_support(atoms, segments) -> SupportComponents:
+    """Atoms and segments as sorted disjoint closed intervals.  Atoms within
+    ``ATOL`` of a segment endpoint merge into that segment so the
+    components stay disjoint."""
+    raw = [(t, t) for _, t in atoms] + [(lo, hi) for _, lo, hi in segments]
     raw.sort()
     merged: list[list[float]] = []
     for lo, hi in raw:
@@ -194,14 +207,14 @@ def g_nu_and_prime(m: MeasureSpec, z):
         log = np.log
     elif isinstance(z, np.ndarray):
         z, log = np.asarray(z, dtype=float), np.log
-        on = ~(support_of(m).distance(z) > ATOL)
+        on = ~(m.support.distance(z) > ATOL)
         if on.any():
             raise DomainError(
                 f"x={z[on]!r} is NaN or lies on the support of the measure")
         g = gp = 0.0
     else:
         z, log = float(z.real), math.log
-        if not support_of(m).distance(z) > ATOL:
+        if not m.support.distance(z) > ATOL:
             raise DomainError(
                 f"x={z!r} is NaN or lies on the support of the measure")
         g = gp = 0.0

@@ -3,20 +3,25 @@
 The Stieltjes transform of the limit law is g = g_nu(u) / (1 + s^2 c g_nu(u))
 at u = omega(z), the root of phi(u) = z with Im u > 0; g is also the fixed
 point of F(g) = (1 - s^2 c g) g_nu(z (1 - s^2 c g)^2 - s^2 (1-c)(1 - s^2 c g)).
-``solve_g`` finds u by Newton on ``phi``, continued down from z + i 2^m.  The
-same solve at a real x inside the open support gives the density -Im g / pi
-without extrapolation; off the open support it is exactly zero.  The CDF has
-a closed form at the same root (``_cdf_at``), which on a gap reduces to the
-mass correspondence mu((-inf, x]) = nu((-inf, omega(x)]).  One table per
-model holds adaptive Simpson nodes over every support interval with their
-roots and exact CDF values, and one ``locate`` finds a point in it: the CDF
-plateau off the open support, the nearest node's root to warm-start from
-inside.  Scalar and array ``cdf_mu`` and ``density`` read through it,
-``quantile_mu`` brackets its Newton run between two nodes, and the Simpson
-mass of the density (``interval_masses``) stays an independent check.  An
-array read solves its interior points together by Newton sweeps over complex
-numpy arrays (``_read_interior``); a point a sweep does not settle falls
-back to ``_omega``.  ``h_residual`` checks the rectangular-convolution
+``solve_g`` finds u by Newton on ``phi``: from the root of the nearest CDF
+table node when Re z is strictly inside a support interval and Im z is at
+most the spacing of the nodes around it, else continued down from
+z + i 2^m.  The same solve at a real x inside the open support gives the
+density -Im g / pi without extrapolation; off the open support it is
+exactly zero.  The CDF has a closed form at the same root (``_cdf_at``),
+which on a gap reduces to the mass correspondence
+mu((-inf, x]) = nu((-inf, omega(x)]).  One table per model holds adaptive
+Simpson nodes over every support interval with their roots and exact CDF
+values, and one ``locate`` finds a point in it: the CDF plateau off the
+open support, the nearest node's root to warm-start from inside.  Scalar
+and array ``cdf_mu`` and ``density`` read through it, ``quantile_mu``
+brackets its Newton run between two nodes (its first iterate, the secant
+point of that bracket, is the table's linear interpolation), ``solve_g``
+warms from it near the axis (``near``), and the Simpson mass of the density
+(``interval_masses``) stays an independent check.  An array read solves its
+interior points together by Newton sweeps over complex numpy arrays
+(``_read_interior``); a point a sweep does not settle falls back to
+``_omega``.  ``h_residual`` checks the rectangular-convolution
 subordination identity.
 """
 
@@ -61,12 +66,13 @@ _AXIS_GUARD = 1e-9
 _SWEEP_POINTS = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GSolution:
     """Solved transform value at one query point; ``iterations`` counts
-    Newton steps and ``residual`` is |F(g) - g|."""
+    Newton steps and ``residual`` is |F(g) - g|.  The point itself is the
+    caller's and is not kept here, nor is a ``__dict__``: callers that keep
+    many solutions hold three slots each."""
 
-    z: complex
     g: complex
     iterations: int
     residual: float
@@ -155,17 +161,25 @@ def _omega(p: ModelParams, z: complex, warm: complex | None = None
 def solve_g(p: ModelParams, z: complex) -> GSolution:
     """Solve for the transform g at z in the upper half plane.
 
-    Finds u = omega(z) by Newton continuation (see ``_omega``) and returns
-    g = g_nu(u) / (1 + s^2 c g_nu(u)), after up to three more Newton steps
-    while |F(g) - g| > RESIDUAL_TOL.  Raises ConvergenceError unless
-    |F(g) - g| <= RESIDUAL_TOL max(1, |g|) (the rounding floor grows with
-    |g|) and g satisfies the half-plane sign constraints Im g < 0 and
-    Im(z g) <= 0.
+    Finds u = omega(z) by ``_omega``: by Newton from the root of the CDF
+    table node nearest Re z when Re z is strictly inside a support interval
+    and Im z is at most the spacing of the two nodes around it (see
+    ``_CdfTable.near``), and otherwise, or when that run fails, by Newton
+    continuation down from z + i 2^m; off the support the table is not
+    built.  Returns g = g_nu(u) / (1 + s^2 c g_nu(u)), after up to three
+    more Newton steps while |F(g) - g| > RESIDUAL_TOL.  Raises
+    ConvergenceError unless |F(g) - g| <= RESIDUAL_TOL max(1, |g|) (the
+    rounding floor grows with |g|) and g satisfies the half-plane sign
+    constraints Im g < 0 and Im(z g) <= 0.
     """
     z = complex(z)
     if not (z.imag > 0.0 and cmath.isfinite(z)):
         raise DomainError(f"solve_g requires a finite z with Im z > 0, got {z!r}")
-    u, steps = _omega(p, z)
+    sup, warm = subordination.support(p), None
+    at = sup.interval_index(z.real)
+    if at is not None and sup.intervals[at][0] < z.real < sup.intervals[at][1]:
+        warm = _cdf_data(p).near(z.real, z.imag)
+    u, steps = _omega(p, z, warm)
     for k in range(4):  # at the rounding floor Newton steps dither around u
         g = _g_mu(p, u)
         r = abs(_fp_map(p, z, g) - g)
@@ -178,7 +192,7 @@ def solve_g(p: ModelParams, z: complex) -> GSolution:
         raise ConvergenceError(f"no solution at z={z!r}: residual {r!r}, g={g!r}")
     if (z * g).imag > 1e-12 * max(1.0, abs(z * g)):
         raise ConvergenceError(f"solution at z={z!r} violates Im(z g) <= 0")
-    return GSolution(z=z, g=g, iterations=steps, residual=r)
+    return GSolution(g=g, iterations=steps, residual=r)
 
 
 def _density_from(p: ModelParams, x, u):
@@ -274,6 +288,17 @@ class _CdfTable:
             return self.fs.item(j if j < len(xs) else -1), False, None
         k = j - 1 if x - xs.item(j - 1) <= xs.item(j) - x else j
         return self.fs.item(j), True, self.us.item(k)
+
+    def near(self, x: float, y: float) -> complex | None:
+        """For x strictly inside a support interval, the root at the node
+        nearest to x, as ``locate`` gives it; None where y exceeds the
+        spacing of the two nodes around x, too far from the axis for it."""
+        xs = self.xs
+        j = int(xs.searchsorted(x))
+        a, b = xs.item(j - 1), xs.item(j)
+        if y > b - a:
+            return None
+        return self.us.item(j - 1 if x - a <= b - x else j)
 
 
 def _refine(f, a, b, fa, fm, fb, whole, tol, depth) -> float:

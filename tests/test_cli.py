@@ -441,17 +441,38 @@ def test_mult_alone_overrides_config_multiplicities(tmp_path):
     assert run_cli(["spikes", "--config", cfg, "--mult", "1", "--mult", "1"]) == 1
 
 
-def test_support_runs_without_scipy():
-    # numpy is the only runtime dependency; scipy is for the tests alone
+def run_fresh(code: str) -> None:
+    """Run code in a new interpreter from the repository root; it must exit 0."""
     root = Path(__file__).resolve().parent.parent
-    code = ("import sys\n"
-            "from ipn import cli\n"
-            "rc = cli.run(['support', '--config', 'configs/reference_a.json',"
-            " '--no-timestamp'])\n"
-            "assert rc == 0, rc\n"
-            "assert 'scipy' not in sys.modules, "
-            "sorted(m for m in sys.modules if m.startswith('scipy'))\n")
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_support_runs_without_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests alone
+    run_fresh("import sys\n"
+              "from ipn import cli\n"
+              "rc = cli.run(['support', '--config', 'configs/reference_a.json',"
+              " '--no-timestamp'])\n"
+              "assert rc == 0, rc\n"
+              "assert 'scipy' not in sys.modules, "
+              "sorted(m for m in sys.modules if m.startswith('scipy'))\n")
+
+
+def test_cold_analysis_leaves_numpy_ma_unimported():
+    # numpy.ma costs a process 11-20 ms to import, and nothing here needs it
+    run_fresh("import sys\n"
+              "import numpy as np\n"
+              "from ipn import spikes, stieltjes, subordination\n"
+              "from ipn.measure import MeasureSpec\n"
+              "from ipn.subordination import ModelParams\n"
+              "nu = MeasureSpec(atoms=((0.5, 2.0),), segments=((0.5, 4.0, 6.0),))\n"
+              "p = ModelParams(sigma=0.4, c=0.8, nu=nu)\n"
+              "sup = subordination.support(p)\n"
+              "stieltjes.interval_masses(p)\n"
+              "stieltjes.density(p, np.linspace(0.0, sup.max + 1.0, 40))\n"
+              "subordination.omega(p, sup.max + 1.0)\n"
+              "spikes.classify(p, spikes.SpikeSpec((9.0, 3.0), (1, 1)))\n"
+              "assert 'numpy.ma' not in sys.modules\n")

@@ -166,6 +166,18 @@ def test_support_merges_atom_on_segment_endpoint():
     assert measure.support_of(m).intervals == ((2.0, 4.0),)
 
 
+def test_support_distance_of_a_float_matches_the_array_rule():
+    # a float bisects to the two intervals around it; every interval is read
+    # for an array, and both give the same distance, NaN for NaN
+    m = MeasureSpec(atoms=((0.25, 1.0), (0.25, 7.0)), segments=((0.5, 2.0, 4.0),))
+    comps = measure.support_of(m)
+    assert comps is m.support
+    xs = [-3.0, 0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 4.0 + 1e-13, 5.5, 7.0, 9.0, 1e300, -math.inf]
+    want = comps.distance(np.array(xs))
+    assert [comps.distance(x) for x in xs] == want.tolist()
+    assert math.isnan(comps.distance(math.nan))
+
+
 def test_support_gaps():
     comps = measure.support_of(TWO_ATOMS)
     gaps = comps.gaps()

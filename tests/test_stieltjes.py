@@ -114,6 +114,51 @@ def test_solve_g_just_inside_every_support_edge(p):
             assert -sol.g.imag / math.pi == pytest.approx(f, rel=1e-5)
 
 
+def spy_on_warm(monkeypatch) -> list:
+    """Record the warm root each ``_omega`` call of ``solve_g`` gets."""
+    warms, real = [], stieltjes._omega
+
+    def spy(p, z, warm=None):
+        warms.append(warm)
+        return real(p, z, warm)
+    monkeypatch.setattr(stieltjes, "_omega", spy)
+    return warms
+
+
+@pytest.mark.parametrize("p", ALL_MODELS)
+def test_solve_g_warm_from_the_table_matches_a_cold_solve(p, monkeypatch):
+    # near the axis inside the support solve_g starts next to its root: a
+    # few Newton steps from the nearest table node, and the value of the
+    # whole continuation
+    stieltjes.interval_masses(p)  # the table, built before the spy
+    warms = spy_on_warm(monkeypatch)
+    for lo, hi in subordination.support(p).intervals:
+        for f in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
+            for y in (1e-9, 1e-7):
+                z = complex(lo + f * (hi - lo), y)
+                warms.clear()
+                sol = stieltjes.solve_g(p, z)
+                assert warms[0] is not None and sol.iterations <= 6, (z, sol)
+                cold = stieltjes._g_mu(p, stieltjes._omega(p, z)[0])
+                assert abs(sol.g - cold) <= 1e-12 * abs(cold)
+
+
+def test_solve_g_far_from_the_axis_runs_the_continuation(monkeypatch):
+    # an Im z above the node spacing gets no warm root, and a point off the
+    # support neither a warm root nor a table
+    stieltjes.interval_masses(MODEL_SPLIT)
+    warms = spy_on_warm(monkeypatch)
+    (lo, hi), _ = subordination.support(MODEL_SPLIT).intervals
+    sol = stieltjes.solve_g(MODEL_SPLIT, complex(0.5 * (lo + hi), hi - lo))
+    assert warms == [None] and sol.residual <= 1e-12
+    p = ModelParams(sigma=1.0, c=0.5, nu=MeasureSpec.point_mass(3.0))
+    monkeypatch.setattr(stieltjes, "_cdf_data", None)  # calling it fails
+    warms.clear()
+    for x in (-1.0, subordination.support(p).max):
+        stieltjes.solve_g(p, complex(x, 1e-9))
+    assert warms == [None, None]
+
+
 # ---------------------------------------------------------------------------
 # density
 # ---------------------------------------------------------------------------

@@ -44,13 +44,16 @@ def test_phi_rejects_support_points():
 
 
 def test_phi_and_prime_checks_the_support_once(monkeypatch):
+    # a real argument reads the support that the measure holds, once; a
+    # complex one does not read it
     calls = []
-    real = measure.support_of
-    monkeypatch.setattr(measure, "support_of", lambda m: calls.append(m) or real(m))
+    real = measure.SupportComponents.distance
+    monkeypatch.setattr(measure.SupportComponents, "distance",
+                        lambda self, x: calls.append(self) or real(self, x))
     for x in (0.5, np.array([-1.0, 0.5, 4.0])):
         calls.clear()
         subordination.phi_and_prime(MODEL_SPLIT, x)
-        assert calls == [MODEL_SPLIT.nu]
+        assert len(calls) == 1 and calls[0] is MODEL_SPLIT.nu.support
     calls.clear()
     subordination.phi_and_prime(MODEL_SPLIT, complex(3.0, 0.5))
     assert calls == []
@@ -140,12 +143,17 @@ def test_admissible_set_point_mass_c1():
     (lambda x: (3.0 - x, -1.0), 1.0),
     (lambda x: (x - 2.0, 1.0), 1.0),
     (lambda x: (-x - 2.0, -1.0), 0.0),
+    (lambda x: (x * x - 0.09, 2.0 * x), 0.3),
+    (lambda x: (1e308 * (2.0 * x - 1.0), 1.0), 0.5),
 ], ids=["increasing", "decreasing", "bisection", "f(a)=0", "f(b)=0",
         "positive-increasing", "positive-decreasing", "negative-increasing",
-        "negative-decreasing"])
+        "negative-decreasing", "convex", "overflowing-secant"])
 def test_bracketed_root_contract(fd, expected):
     # each end is evaluated once; without a strict sign change the end with
-    # the smaller |f| comes back as it is, and nothing else is evaluated
+    # the smaller |f| comes back as it is, and nothing else is evaluated;
+    # with one, the third evaluation is at the secant point of the ends, or
+    # at the midpoint where that point is not strictly inside (f(1) - f(0)
+    # overflows to inf)
     calls = []
     root = subordination._bracketed_root(lambda x: calls.append(x) or fd(x),
                                          0.0, 1.0, 1e-14)
@@ -153,6 +161,9 @@ def test_bracketed_root_contract(fd, expected):
     if expected in (0.0, 1.0):
         assert root == expected and len(calls) == 2
     else:
+        fa, fb = fd(0.0)[0], fd(1.0)[0]
+        secant = 0.0 - fa * (1.0 - 0.0) / (fb - fa)
+        assert calls[2] == (secant if 0.0 < secant < 1.0 else 0.5)
         assert root == pytest.approx(expected, abs=1e-13)
 
 
