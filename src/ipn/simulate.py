@@ -6,11 +6,12 @@ sqrt(theta_j), the rest carry square roots of deterministic quantiles of nu
 (so the empirical signal spectrum converges to nu with no sampling noise and
 stays uniformly close to supp(nu)).  Eigenvalues of the sample are those of
 the n x n Gram matrix Y Y* for Y = sigma*X/sqrt(N) + A, from one kernel per
-trial (``_gram_eigenvalues``): a one-triangle rank-N update and LAPACK's
-two-stage symmetric eigensolver, both from numpy's bundled OpenBLAS, with
-numpy's ``eigvalsh`` as the fallback where that library lacks them.  The
-noise stream is counter-based per (seed, trial), so trials are reproducible;
-eigenvalue digits depend on which path ran, as they do on the BLAS build.
+trial (``_gram_eigenvalues``).  For complex noise that is a one-triangle
+rank-N update and LAPACK's two-stage Hermitian eigensolver, both from
+numpy's bundled OpenBLAS; for real noise, and where that library lacks
+them, it is numpy's Gram product and ``eigvalsh``.  The noise stream is
+counter-based per (seed, trial), so trials are reproducible; eigenvalue
+digits depend on which path ran, as they do on the BLAS build.
 Each experiment is sampled once by ``run_trials``; every check (separation,
 outliers, KS, and the ``verify_all`` suite) is a function over that list of
 samples.
@@ -65,9 +66,10 @@ _ROW_MAJOR, _COL_MAJOR, _NO_TRANS, _LOWER = 101, 102, 111, 122
 
 
 def as_int(name: str, value) -> int:
-    """``value`` as an int; ValueError for a non-integral or infinite float,
-    which ``int`` would truncate or fail on."""
-    if isinstance(value, float) and not value.is_integer():
+    """``value`` as an int; ValueError for a bool, which ``int`` would read
+    as 0 or 1, and for a non-integral or infinite float, which ``int``
+    would truncate or fail on."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -171,11 +173,9 @@ def _sample_matrix(cfg: SimConfig, trial: int, d: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _gram_kernel() -> dict | None:
-    """ctypes bindings in numpy's bundled ILP64 OpenBLAS, by dtype of Y:
-    (rank-k update, two-stage eigensolver, solver name), that is
-    ``cblas_zherk`` and ``LAPACKE_zheevd_2stage`` for complex Y and
-    ``cblas_dsyrk`` and ``LAPACKE_dsyevd_2stage`` for real Y.
+def _gram_kernel() -> tuple | None:
+    """ctypes bindings of ``cblas_zherk`` and ``LAPACKE_zheevd_2stage`` in
+    numpy's bundled ILP64 OpenBLAS: (rank-k update, two-stage eigensolver).
 
     None where numpy ships no such library or it lacks a symbol.  Bound on
     the first call (in a pool worker, the worker's first trial), so
@@ -190,45 +190,41 @@ def _gram_kernel() -> dict | None:
         return None
     try:
         lib = ctypes.CDLL(paths[0])  # numpy has loaded it: this binds, nothing more
-        kernel = {np.dtype(dtype): (getattr(lib, f"scipy_cblas_{rank_k}64_"),
-                                    getattr(lib, f"scipy_LAPACKE_{solve}64_"), solve)
-                  for dtype, rank_k, solve in ((np.complex128, "zherk", "zheevd_2stage"),
-                                               (np.float64, "dsyrk", "dsyevd_2stage"))}
+        rank_k = lib.scipy_cblas_zherk64_
+        solve = lib.scipy_LAPACKE_zheevd_2stage64_
     except (OSError, AttributeError):
         return None
     enum, index, real, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    for rank_k, solve, _ in kernel.values():
-        # (layout, uplo, trans, n, k, alpha, A, lda, beta, C, ldc)
-        rank_k.argtypes = [enum, enum, enum, index, index, real, ptr, index, real,
-                           ptr, index]
-        rank_k.restype = None
-        # (layout, jobz, uplo, n, A, lda, w) -> info
-        solve.argtypes = [enum, ctypes.c_char, ctypes.c_char, index, ptr, index, ptr]
-        solve.restype = index
-    return kernel
+    # (layout, uplo, trans, n, k, alpha, A, lda, beta, C, ldc)
+    rank_k.argtypes = [enum, enum, enum, index, index, real, ptr, index, real, ptr, index]
+    rank_k.restype = None
+    # (layout, jobz, uplo, n, A, lda, w) -> info
+    solve.argtypes = [enum, ctypes.c_char, ctypes.c_char, index, ptr, index, ptr]
+    solve.restype = index
+    return rank_k, solve
 
 
 def _gram_eigenvalues(Y: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the n x n Gram matrix G = Y Y* of an n x N
     matrix Y, complex or real.
 
-    ``zherk`` (``dsyrk`` for real Y) fills the lower triangle of the
-    row-major G, and LAPACKE's ``zheevd_2stage`` (``dsyevd_2stage``) solves
-    it in place with JOBZ = 'N'.  The solver reads that buffer in
-    column-major order, as conj(G) with its upper triangle set, which has
-    the same eigenvalues; nothing is transposed or copied.  Y is dropped
-    before the solve, so a caller that passes its only reference never holds
-    Y and the solver's workspace together.  Where ``_gram_kernel`` is None
-    this is ``eigvalsh(Y @ Y.conj().T)``.  A nonzero LAPACK info raises
-    LinAlgError.
+    For complex Y, ``zherk`` fills the lower triangle of the row-major G,
+    and LAPACKE's ``zheevd_2stage`` solves it in place with JOBZ = 'N'.  The
+    solver reads that buffer in column-major order, as conj(G) with its
+    upper triangle set, which has the same eigenvalues; nothing is
+    transposed or copied.  For real Y, or where ``_gram_kernel`` is None,
+    this is ``eigvalsh(Y @ Y.conj().T)``: for real Y the real kernels gain
+    nothing on numpy's.  Y is dropped before the solve on either path, so a
+    caller that passes its only reference never holds Y and the solver's
+    workspace together.  A nonzero LAPACK info raises LinAlgError.
     """
     kernel = _gram_kernel()
-    if kernel is None:
+    if kernel is None or not np.iscomplexobj(Y):
         G = Y @ Y.conj().T
         del Y
         return np.linalg.eigvalsh(G)
-    Y = np.ascontiguousarray(Y, np.complex128 if np.iscomplexobj(Y) else np.float64)
-    rank_k, solve, name = kernel[Y.dtype]
+    rank_k, solve = kernel
+    Y = np.ascontiguousarray(Y, np.complex128)
     n, k = Y.shape
     G = np.zeros((n, n), Y.dtype)
     rank_k(_ROW_MAJOR, _LOWER, _NO_TRANS, n, k, 1.0, Y.ctypes.data, k, 0.0,
@@ -237,7 +233,7 @@ def _gram_eigenvalues(Y: np.ndarray) -> np.ndarray:
     w = np.empty(n)
     info = solve(_COL_MAJOR, b"N", b"U", n, G.ctypes.data, n, w.ctypes.data)
     if info:
-        raise np.linalg.LinAlgError(f"{name} returned info = {info}")
+        raise np.linalg.LinAlgError(f"zheevd_2stage returned info = {info}")
     return w
 
 

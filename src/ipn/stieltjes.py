@@ -21,8 +21,8 @@ warms from it near the axis (``near``), and the Simpson mass of the density
 (``interval_masses``) stays an independent check.  An array read solves its
 interior points together by Newton sweeps over complex numpy arrays
 (``_read_interior``); a point a sweep does not settle falls back to
-``_omega``.  ``h_residual`` checks the rectangular-convolution
-subordination identity.
+``_omega``.  ``_h_residual`` checks the rectangular-convolution
+subordination identity at a root already solved.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from .subordination import ModelParams
 #: than rounding noise.
 NEGATIVE_DENSITY_FLOOR = -1e-6
 
-#: Fixed-point residual |F(g) - g| that ``solve_g`` aims for; it accepts up
-#: to RESIDUAL_TOL max(1, |g|).
+#: ``solve_g`` accepts g when its fixed-point residual |F(g) - g| is at most
+#: RESIDUAL_TOL max(1, |g|).
 RESIDUAL_TOL = 1e-12
 
 #: Newton steps allowed per continuation stage, and stage splits per solve.
@@ -166,11 +166,11 @@ def solve_g(p: ModelParams, z: complex) -> GSolution:
     and Im z is at most the spacing of the two nodes around it (see
     ``_CdfTable.near``), and otherwise, or when that run fails, by Newton
     continuation down from z + i 2^m; off the support the table is not
-    built.  Returns g = g_nu(u) / (1 + s^2 c g_nu(u)), after up to three
-    more Newton steps while |F(g) - g| > RESIDUAL_TOL.  Raises
-    ConvergenceError unless |F(g) - g| <= RESIDUAL_TOL max(1, |g|) (the
-    rounding floor grows with |g|) and g satisfies the half-plane sign
-    constraints Im g < 0 and Im(z g) <= 0.
+    built.  Returns g = g_nu(u) / (1 + s^2 c g_nu(u)) at the root ``_omega``
+    settles, with ``iterations`` its Newton steps.  Raises ConvergenceError
+    unless |F(g) - g| <= RESIDUAL_TOL max(1, |g|) (the rounding floor grows
+    with |g|) and g satisfies the half-plane sign constraints Im g < 0 and
+    Im(z g) <= 0.
     """
     z = complex(z)
     if not (z.imag > 0.0 and cmath.isfinite(z)):
@@ -180,14 +180,8 @@ def solve_g(p: ModelParams, z: complex) -> GSolution:
     if at is not None and sup.intervals[at][0] < z.real < sup.intervals[at][1]:
         warm = _cdf_data(p).near(z.real, z.imag)
     u, steps = _omega(p, z, warm)
-    for k in range(4):  # at the rounding floor Newton steps dither around u
-        g = _g_mu(p, u)
-        r = abs(_fp_map(p, z, g) - g)
-        if r <= RESIDUAL_TOL or k == 3:
-            break
-        f, fp = subordination.phi_and_prime(p, u)
-        u -= (f - z) / fp
-    steps += k
+    g = _g_mu(p, u)
+    r = abs(_fp_map(p, z, g) - g)
     if not (r <= RESIDUAL_TOL * max(1.0, abs(g)) and g.imag < 0.0):
         raise ConvergenceError(f"no solution at z={z!r}: residual {r!r}, g={g!r}")
     if (z * g).imag > 1e-12 * max(1.0, abs(z * g)):
@@ -471,20 +465,11 @@ def quantile_mu(p: ModelParams, alpha: float) -> float:
     return subordination._bracketed_root(fd, a, b, 1e-15 * (1.0 + abs(b)))
 
 
-def h_residual(p: ModelParams, x: float) -> float:
-    """Residual of the rectangular-convolution subordination identity at x.
-
-    Compares c*u*g_nu(u)^2 + (1-c)*g_nu(u) at u = omega(x) with
-    c*x*g(x)^2 + (1-c)*g(x), the transform g being evaluated just above the
-    real axis.  Vanishes identically on the model; the returned modulus is
-    pure numerical error.
-    """
-    u = subordination.omega(p, x)
-    return _h_residual(p, x, u, solve_g(p, complex(x, 1e-9)).g)
-
-
 def _h_residual(p: ModelParams, x: float, u: float, gm: complex) -> float:
-    """``h_residual`` from u = omega(x) and g = g(x + 1e-9i) already solved."""
+    """Residual of the rectangular-convolution subordination identity at x
+    outside the support, from u = omega(x) and g = g(x + 1e-9i) already
+    solved: |c u g_nu(u)^2 + (1-c) g_nu(u) - (c x g^2 + (1-c) g)|.  It
+    vanishes on the model; the modulus is numerical error."""
     if measure.support_of(p.nu).distance(u) <= measure.ATOL:
         raise DomainError(f"omega({x!r}) landed on supp(nu)")
     gn = measure.g_nu(p.nu, u)

@@ -311,9 +311,9 @@ def _scan_gap(p: ModelParams, gap_lo: float,
     return good
 
 
-@functools.lru_cache(maxsize=None)
 def admissible_set(p: ModelParams) -> AdmissibleSet:
-    """Admissible set of the model, computed once per ModelParams.
+    """Admissible set of the model, computed afresh on each call: ``support``
+    holds it, once per ModelParams, as ``SupportResult.admissible``.
 
     Each gap of supp(nu) is scanned once on a uniform-plus-endpoint-clustered
     grid of 4096 points; an unbounded gap is cut to the window that
@@ -427,23 +427,3 @@ def omega(p: ModelParams, x: float) -> float:
     if abs(phi(p, u) - x) > 1e-10 * max(1.0, abs(x)):
         raise ConvergenceError(f"omega residual too large at x={x!r}")
     return u
-
-
-def k_transform(p: ModelParams, x: float) -> float:
-    """Map x -> x + sigma^2(1-c)/(1 - sigma^2 c g(x)) through the c=1 companion model.
-
-    ``g`` is the Stieltjes transform of the limit law with parameters
-    (sigma*sqrt(c), nu, 1), evaluated by ``stieltjes.solve_g`` just above
-    the real axis.  Satisfies K(phi_aux(u)) = phi(u) on the companion
-    admissible set, which is the cross-check exercised by the tests.
-    Requires c < 1 and x outside the companion support.
-    """
-    if not p.c < 1.0:
-        raise DomainError("the K transform is defined for c < 1 only")
-    aux = ModelParams(sigma=p.sigma * math.sqrt(p.c), c=1.0, nu=p.nu)
-    if support(aux).gap_index(x) is None:
-        raise DomainError(f"x={x!r} lies in the companion support")
-    from . import stieltjes
-
-    g = stieltjes.solve_g(aux, complex(x, 1e-9)).g
-    return x + p.sigma ** 2 * (1.0 - p.c) / (1.0 - p.sigma ** 2 * p.c * g.real)

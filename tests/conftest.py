@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from ipn import stieltjes, subordination
+from ipn.errors import DomainError
 from ipn.measure import MeasureSpec
 from ipn.subordination import ModelParams
 
@@ -80,3 +83,24 @@ def off_support_grid(sup, per_gap: int = 8) -> list[float]:
 def die_in_worker(cfg, trial, d):
     """Stands in for ``simulate._sample_trial``: the pool worker dies."""
     os._exit(1)
+
+
+def h_residual(p: ModelParams, x: float) -> float:
+    """Residual of the rectangular-convolution subordination identity at x
+    outside the support, with u = omega(x) and g solved at x + 1e-9i."""
+    u = subordination.omega(p, x)
+    return stieltjes._h_residual(p, x, u, stieltjes.solve_g(p, complex(x, 1e-9)).g)
+
+
+def k_transform(p: ModelParams, x: float) -> float:
+    """x + sigma^2 (1-c) / (1 - sigma^2 c g(x)) for g the transform of the
+    c = 1 companion model (sigma sqrt(c), nu), solved just above the real
+    axis.  K(phi_aux(u)) = phi(u) on the companion admissible set.  Requires
+    c < 1 and x outside the companion support."""
+    if not p.c < 1.0:
+        raise DomainError("the K transform is defined for c < 1 only")
+    aux = ModelParams(sigma=p.sigma * math.sqrt(p.c), c=1.0, nu=p.nu)
+    if subordination.support(aux).gap_index(x) is None:
+        raise DomainError(f"x={x!r} lies in the companion support")
+    g = stieltjes.solve_g(aux, complex(x, 1e-9)).g
+    return x + p.sigma ** 2 * (1.0 - p.c) / (1.0 - p.sigma ** 2 * p.c * g.real)

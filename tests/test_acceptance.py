@@ -25,7 +25,7 @@ from ipn.spikes import SpikeSpec
 from ipn.subordination import ModelParams
 
 from conftest import (FIVE_MODELS, MODEL_D1_C1, MODEL_D2_C1, MODEL_D2_HALF,
-                      MODEL_SPLIT, off_support_grid)
+                      MODEL_SPLIT, h_residual, k_transform, off_support_grid)
 
 
 @contextlib.contextmanager
@@ -109,12 +109,12 @@ def test_criterion_5_subordination_identities():
                 chain = abs(1.0 / (1.0 - s2c * g)
                             - (1.0 + s2c * measure.g_nu(p.nu, u)))
                 assert chain <= 1e-7
-                assert stieltjes.h_residual(p, x) <= 1e-6
+                assert h_residual(p, x) <= 1e-6
         assert count >= 100
         p = MODEL_D2_HALF
         aux = ModelParams(sigma=p.sigma * math.sqrt(p.c), c=1.0, nu=p.nu)
         for u in (-0.5, 0.3, 0.5):
-            lhs = subordination.k_transform(p, subordination.phi(aux, u))
+            lhs = k_transform(p, subordination.phi(aux, u))
             assert abs(lhs - subordination.phi(p, u)) <= 1e-6
 
 

@@ -177,15 +177,19 @@ def test_two_stage_kernel_runs_on_numpys_openblas(monkeypatch):
     # than falling back to eigvalsh and slowing down unseen
     kernel = simulate._gram_kernel()
     assert kernel is not None
-    assert {dt: name for dt, (_, _, name) in kernel.items()} == {
-        np.dtype(np.complex128): "zheevd_2stage", np.dtype(np.float64): "dsyevd_2stage"}
+    assert [f.__name__ for f in kernel] == ["scipy_cblas_zherk64_",
+                                            "scipy_LAPACKE_zheevd_2stage64_"]
 
     def boom(*args, **kwargs):
         raise AssertionError("eigvalsh called")
     monkeypatch.setattr(np.linalg, "eigvalsh", boom)
-    for dist in ("complex-gaussian", "real-gaussian"):
+    for dist in ("complex-gaussian", "rademacher-complex"):
         cfg = SimConfig(n=20, N=40, model=MODEL_SPLIT, entry_dist=dist)
         assert len(simulate.sample_eigenvalues(cfg, 0).eigenvalues) == 20
+    # real noise takes numpy's path, where the real kernels gain nothing
+    cfg = SimConfig(n=20, N=40, model=MODEL_SPLIT, entry_dist="real-gaussian")
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        simulate.sample_eigenvalues(cfg, 0)
 
 
 @pytest.mark.parametrize("info", [2, -1011])
@@ -193,12 +197,10 @@ def test_nonzero_lapack_info_raises(monkeypatch, info):
     real = simulate._gram_kernel()
     if real is None:
         pytest.skip("no two-stage kernel in numpy's BLAS")
-    failing = {dt: (rank_k, lambda *args: info, name)
-               for dt, (rank_k, _, name) in real.items()}
-    monkeypatch.setattr(simulate, "_gram_kernel", lambda: failing)
+    monkeypatch.setattr(simulate, "_gram_kernel", lambda: (real[0], lambda *args: info))
     with pytest.raises(np.linalg.LinAlgError,
-                       match=f"^dsyevd_2stage returned info = {info}$"):
-        simulate._gram_eigenvalues(np.ones((3, 5)))
+                       match=f"^zheevd_2stage returned info = {info}$"):
+        simulate._gram_eigenvalues(np.ones((3, 5), dtype=complex))
     cfg = SimConfig(n=8, N=8, model=MODEL_D1_C1, trials=3)
     with pytest.raises(np.linalg.LinAlgError,
                        match=f"trial 2: zheevd_2stage returned info = {info}$"):

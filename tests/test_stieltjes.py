@@ -14,7 +14,7 @@ from ipn.simulate import SimConfig
 from ipn.subordination import ModelParams
 
 from conftest import (ALL_MODELS, DELTA1, MODEL_D1_C1, MODEL_D2_HALF, MODEL_SPLIT,
-                      MODEL_UNIFORM, off_support_grid)
+                      MODEL_UNIFORM, h_residual, off_support_grid)
 
 
 EPS = np.finfo(float).eps
@@ -45,14 +45,45 @@ def test_solve_g_near_real_axis_closed_form():
     assert sol.residual <= 1e-12
 
 
-def test_solve_g_accepts_the_rounding_floor_at_large_g():
+def test_solve_g_accepts_the_rounding_floor_at_large_g(monkeypatch):
     # near the hard edge at sigma = 0.05, |g| is about 6e3 and the absolute
-    # fixed-point residual cannot go below about 1e-11
+    # fixed-point residual cannot go below about 1e-11; the root _omega
+    # settles is accepted as it is, with no further Newton steps
     p = ModelParams(sigma=0.05, c=1.0,
                     nu=MeasureSpec(atoms=((0.3, 0.0), (0.7, 3.0))))
-    sol = stieltjes.solve_g(p, complex(2.998e-6, 1e-9))
+    z, runs = complex(2.998e-6, 1e-9), []
+    omega = stieltjes._omega
+
+    def counted(q, w, *warm):
+        u, steps = omega(q, w, *warm)
+        if w == z:  # not a table build's solve
+            runs.append(steps)
+        return u, steps
+    monkeypatch.setattr(stieltjes, "_omega", counted)
+    sol = stieltjes.solve_g(p, z)
     assert abs(sol.g) > 1e3 and sol.g.imag < 0.0
-    assert sol.residual <= 1e-12 * abs(sol.g)
+    assert 1e-12 < sol.residual <= 1e-12 * abs(sol.g)
+    assert runs == [sol.iterations]
+
+
+def test_solve_g_rejects_a_residual_over_the_tolerance(monkeypatch):
+    # a fixed-point map that misses g by twice RESIDUAL_TOL max(1, |g|)
+    fp_map = stieltjes._fp_map
+
+    def off(p, z, g):
+        return fp_map(p, z, g) + 2.0 * stieltjes.RESIDUAL_TOL * max(1.0, abs(g))
+    monkeypatch.setattr(stieltjes, "_fp_map", off)
+    with pytest.raises(ConvergenceError, match="no solution at z="):
+        stieltjes.solve_g(MODEL_D1_C1, complex(8.0, 1e-3))
+
+
+def test_solve_g_rejects_a_root_with_positive_im_zg(monkeypatch):
+    # g = -0.1i has Im g < 0 but Im(z g) = 1 > 0 at z = -10 + i, and a zero
+    # fixed-point residual
+    monkeypatch.setattr(stieltjes, "_g_mu", lambda p, u: -0.1j)
+    monkeypatch.setattr(stieltjes, "_fp_map", lambda p, z, g: g)
+    with pytest.raises(ConvergenceError, match=r"violates Im\(z g\) <= 0"):
+        stieltjes.solve_g(MODEL_D1_C1, complex(-10.0, 1.0))
 
 
 def test_solve_g_subordination_consistency():
@@ -453,18 +484,18 @@ def test_cdf_monotone_and_bounded():
 # ---------------------------------------------------------------------------
 
 def test_h_residual_closed_form_point():
-    assert stieltjes.h_residual(MODEL_D1_C1, 8.0) <= 1e-7
+    assert h_residual(MODEL_D1_C1, 8.0) <= 1e-7
 
 
 def test_h_residual_near_the_edge():
     sup = subordination.support(MODEL_D2_HALF)
     x = sup.intervals[-1][1] + 0.05
-    assert stieltjes.h_residual(MODEL_D2_HALF, x) <= 1e-6
+    assert h_residual(MODEL_D2_HALF, x) <= 1e-6
 
 
 def test_h_residual_degenerate_small_sigma():
     p = ModelParams(sigma=1e-6, c=1.0, nu=DELTA1)
-    assert stieltjes.h_residual(p, 8.0) <= 1e-8
+    assert h_residual(p, 8.0) <= 1e-8
 
 
 @pytest.mark.parametrize("p", [MODEL_D1_C1, MODEL_D2_HALF, MODEL_SPLIT])

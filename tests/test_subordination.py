@@ -14,8 +14,8 @@ from ipn.measure import MeasureSpec
 from ipn.subordination import ModelParams
 
 from conftest import (ALL_MODELS, DELTA1, DELTA2, FIVE_MODELS, MODEL_D1_C1, MODEL_D2_C1,
-                      MODEL_D2_HALF, MODEL_MIXED, MODEL_SPLIT, TWO_ATOMS, measures,
-                      off_support_grid)
+                      MODEL_D2_HALF, MODEL_MIXED, MODEL_SPLIT, TWO_ATOMS, k_transform,
+                      measures, off_support_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +516,7 @@ def test_k_transform_composition_identity():
     p = MODEL_D2_HALF
     aux = ModelParams(sigma=p.sigma * math.sqrt(p.c), c=1.0, nu=p.nu)
     for u in (0.4, 0.5, -1.0):
-        lhs = subordination.k_transform(p, subordination.phi(aux, u))
+        lhs = k_transform(p, subordination.phi(aux, u))
         rhs = subordination.phi(p, u)
         assert abs(lhs - rhs) <= 1e-7
 
@@ -526,26 +526,26 @@ def test_k_transform_both_sides_independent():
     p = MODEL_D2_HALF
     aux = ModelParams(sigma=p.sigma * math.sqrt(p.c), c=1.0, nu=p.nu)
     x_aux = subordination.phi(aux, 0.5)
-    assert subordination.k_transform(p, x_aux) == pytest.approx(
+    assert k_transform(p, x_aux) == pytest.approx(
         5.0 / 9.0, abs=1e-7)
 
 
 def test_k_transform_asymptote():
     x = 1e6
-    assert subordination.k_transform(MODEL_D2_HALF, x) / x == pytest.approx(
+    assert k_transform(MODEL_D2_HALF, x) / x == pytest.approx(
         1.0, abs=1e-4)
 
 
 def test_k_transform_requires_c_below_one():
     with pytest.raises(DomainError):
-        subordination.k_transform(MODEL_D1_C1, 10.0)
+        k_transform(MODEL_D1_C1, 10.0)
 
 
 def test_k_transform_rejects_companion_support():
     aux = ModelParams(sigma=math.sqrt(0.5), c=1.0, nu=DELTA2)
     inside = 0.5 * sum(subordination.support(aux).intervals[0])
     with pytest.raises(DomainError):
-        subordination.k_transform(MODEL_D2_HALF, inside)
+        k_transform(MODEL_D2_HALF, inside)
 
 
 # ---------------------------------------------------------------------------
