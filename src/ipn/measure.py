@@ -10,8 +10,9 @@ special case used as an oracle in tests.
 ``g_nu_and_prime`` is the one transform kernel: a single loop over the atoms
 and segments gives the Stieltjes transform and its derivative at a complex
 scalar, a float, or elementwise a real or complex numpy array, after one
-check of the argument; only the log follows the input type (``cmath.log``,
-``math.log`` or ``np.log``, which share the principal branch).  ``g_nu``
+check of the argument; only the segments' log follows the input type
+(``cmath.log`` or ``np.log``, which share the principal branch, off the
+real axis, and ``math.log1p`` or ``np.log1p`` on it).  ``g_nu``
 returns its first value, and ``log_potential`` takes the same complex
 scalars and arrays through one body.
 """
@@ -98,6 +99,8 @@ class MeasureSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "MeasureSpec":
         """Parse the JSON form {"atoms":[{"w":..,"t":..}],"segments":[{"w":..,"lo":..,"hi":..}]}."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a measure must be a JSON object, got {data!r}")
         atoms = tuple((a["w"], a["t"]) for a in data.get("atoms", ()))
         segments = tuple((s["w"], s["lo"], s["hi"]) for s in data.get("segments", ()))
         return cls(atoms=atoms, segments=segments)
@@ -196,8 +199,11 @@ def g_nu_and_prime(m: MeasureSpec, z):
     with an element on the real axis.  Outputs have the input's shape, real
     for real inputs; in a gap the derivative is strictly negative.  Segments
     use the principal branch of log((z-lo)/(z-hi)), which is analytic off
-    the segment.
+    the segment; at real z it is +-log1p((hi-lo)/d), for d the distance to
+    the nearer end, which keeps its relative precision where the quotient
+    nears 1, far from a narrow segment.
     """
+    real = None
     if isinstance(z, complex) and z.imag != 0.0:
         g = gp = 0j
         log = cmath.log
@@ -206,14 +212,14 @@ def g_nu_and_prime(m: MeasureSpec, z):
         g = gp = 0j
         log = np.log
     elif isinstance(z, np.ndarray):
-        z, log = np.asarray(z, dtype=float), np.log
+        z, real = np.asarray(z, dtype=float), (np.log1p, np.copysign, np.minimum)
         on = ~(m.support.distance(z) > ATOL)
         if on.any():
             raise DomainError(
                 f"x={z[on]!r} is NaN or lies on the support of the measure")
         g = gp = 0.0
     else:
-        z, log = float(z.real), math.log
+        z, real = float(z.real), (math.log1p, math.copysign, min)
         if not m.support.distance(z) > ATOL:
             raise DomainError(
                 f"x={z!r} is NaN or lies on the support of the measure")
@@ -224,9 +230,13 @@ def g_nu_and_prime(m: MeasureSpec, z):
         g += r
         gp -= r / d  # w / d^2 without forming d^2, which overflows past |d| ~ 1e154
     for w, lo, hi in m.segments:
-        h = w / (hi - lo)
-        g += h * log((z - lo) / (z - hi))
-        gp -= h * (1.0 / (z - hi) - 1.0 / (z - lo))
+        if real:
+            log1p, copysign, nearer = real
+            seg = copysign(log1p((hi - lo) / nearer(abs(z - lo), abs(z - hi))), z - hi)
+        else:
+            seg = log((z - lo) / (z - hi))
+        g += w / (hi - lo) * seg
+        gp -= w / (z - hi) / (z - lo)
     return g, gp
 
 

@@ -170,11 +170,11 @@ def _bracketed_root(fd, a: float, b: float, xtol: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _window(p: ModelParams, gap_lo: float, gap_hi: float) -> tuple[float, float]:
-    """Finite scan window for a gap of supp(nu): a finite end moved in by
-    the support-membership guard, an unbounded end replaced by a closed-form
-    bound beyond the outermost admissible-set boundary (see the module
-    docstring for m, M, r, F1 and F2).
-    """
+    """Finite scan window holding every point of a gap of supp(nu) where
+    a = 1 + sigma^2 c g_nu > 0: from the finite lower end moved in by the
+    support-membership guard, or a bound below u_1, up to the g-threshold
+    crossing, or on the unbounded right gap a bound above v_p (see the
+    module docstring for m, M, r, F1 and F2)."""
     s2 = p.sigma ** 2
     r = p.sigma * (1.0 + math.sqrt(p.c))
     if math.isinf(gap_lo):
@@ -182,11 +182,18 @@ def _window(p: ModelParams, gap_lo: float, gap_hi: float) -> tuple[float, float]
         lo = max(math.sqrt(gap_hi) - r, 0.0) ** 2 - s2 * (1.0 + p.c) - 1.0
     else:
         lo = gap_lo + _endpoint_guard(gap_lo)
-    if math.isinf(gap_hi):
+    hi = g_threshold_crossing(p, (gap_lo, gap_hi))
+    if hi is None:
         # v_p < phi(v_p) <= (sqrt(M) + r)^2 by (F1)
-        hi = (math.sqrt(gap_lo) + r) ** 2 + 1.0 + 4.0 * r * r
-    else:
-        hi = gap_hi - _endpoint_guard(gap_hi)
+        return lo, (math.sqrt(gap_lo) + r) ** 2 + 1.0 + 4.0 * r * r
+    # Newton can stop just past the crossing (it ends there where g_nu is
+    # concave).  Where g_nu' is large, as next to a segment end, phi' can
+    # then pass the floor with a < 0, which the scan would take for an
+    # admissible point: step back, in steps doubling from one ulp, until not
+    back = math.ulp(hi)
+    while (hi > lo and 1.0 + s2 * p.c * measure.g_nu(p.nu, hi) < 0.0
+           and phi_prime(p, hi) > PHI_PRIME_FLOOR):
+        hi, back = max(hi - back, lo), 2.0 * back
     return lo, hi
 
 
@@ -270,36 +277,18 @@ def g_threshold_crossing(p: ModelParams, gap: tuple[float, float]) -> float | No
     return _bracketed_root(fd, left, right, BOUNDARY_XTOL * 0.1)
 
 
-def _drop_slivers(pieces: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Discard intervals narrower than the boundary-isolation resolution.
-
-    Near an atom of nu at small sigma, the sign flip of phi' and the
-    g-threshold crossing coincide to within machine precision; the exact
-    set difference is empty but rounding can leave one-ulp slivers.
-    Anything narrower than ~10x the isolation tolerance is such an artifact.
-    """
-    out = []
-    for a, b in pieces:
-        if math.isinf(a) or math.isinf(b):
-            out.append((a, b))
-            continue
-        scale = max(abs(a), abs(b), 1.0)
-        if b - a > max(10.0 * BOUNDARY_XTOL, 64.0 * np.finfo(float).eps * scale):
-            out.append((a, b))
-    return out
-
-
 def _scan_gap(p: ModelParams, gap_lo: float,
               gap_hi: float) -> list[tuple[float, float]]:
-    """Admissible subintervals of one gap of supp(nu)."""
+    """Admissible subintervals of one gap of supp(nu): the pieces of the
+    ``_window`` where phi' > 0.  A bounded window ends at the g-threshold
+    crossing u*, where phi' is 0 for c = 1 and sigma^4 c (1-c) g_nu'(u*) < 0
+    for c < 1, so no sign change of phi' is bracketed at u*.
+    """
     win_lo, win_hi = _window(p, gap_lo, gap_hi)
-    crossing = g_threshold_crossing(p, (gap_lo, gap_hi))
-    g_hi = math.inf if crossing is None else crossing
     xs = _sample_points(win_lo, win_hi, cluster_lo=not math.isinf(gap_lo),
                         cluster_hi=not math.isinf(gap_hi))
-    pieces = _positive_pieces(p, win_lo, win_hi, xs, open_lo=math.isinf(gap_lo),
-                              open_hi=math.isinf(gap_hi))
-    good = _drop_slivers([(a, min(b, g_hi)) for a, b in pieces if a < g_hi])
+    good = _positive_pieces(p, win_lo, win_hi, xs, open_lo=math.isinf(gap_lo),
+                            open_hi=math.isinf(gap_hi))
     # canonical form: at most one admissible interval in a bounded gap, and
     # in an unbounded gap exactly one, unbounded on the same side
     unbounded = [math.isinf(gap_lo), math.isinf(gap_hi)]
@@ -315,14 +304,14 @@ def admissible_set(p: ModelParams) -> AdmissibleSet:
     """Admissible set of the model, computed afresh on each call: ``support``
     holds it, once per ModelParams, as ``SupportResult.admissible``.
 
-    Each gap of supp(nu) is scanned once on a uniform-plus-endpoint-clustered
-    grid of 4096 points; an unbounded gap is cut to the window that
-    ``_window`` proves holds its boundary.  Sign changes of phi' and the
-    single crossing of g_nu with -1/(sigma^2 c) are bracketed, and
-    boundaries are refined inside their brackets (bisection on phi', Newton
-    on g_nu) to absolute 1e-11.  Raises ConvergenceError unless the result
-    has the canonical form: boundaries strictly increasing, each component
-    of supp(nu) inside one [u_l, v_l], each [u_l, v_l] holding one or more.
+    On each gap of supp(nu), phi' is scanned once on a
+    uniform-plus-endpoint-clustered grid of 4096 points over the ``_window``,
+    which ends at the crossing of g_nu with -1/(sigma^2 c) (Newton on g_nu)
+    where the gap has one.  Sign changes of phi' are bracketed and bisected
+    to absolute 1e-11; no cut or filter follows the scan.  Raises
+    ConvergenceError unless the result has the canonical form:
+    boundaries strictly increasing, each component of supp(nu) inside one
+    [u_l, v_l], each [u_l, v_l] holding one or more.
     """
     comps = measure.support_of(p.nu)
     good: list[tuple[float, float]] = []

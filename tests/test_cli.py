@@ -103,6 +103,18 @@ def test_malformed_measure_exits_one(capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nu", [[1], 1, "atoms", None], ids=["list", "number",
+                                                             "string", "null"])
+def test_measure_that_is_no_object_exits_one(tmp_path, capsys, nu):
+    # as a flag and as model.nu in a config; nothing raised
+    cfg = small_config(tmp_path, model={"sigma": 1.0, "c": 1.0, "nu": nu})
+    for args in (["--sigma", "1", "--c", "1", "--nu", json.dumps(nu)],
+                 ["--config", cfg]):
+        assert run_cli(["support", *args]) == 1
+        err = capsys.readouterr().err
+        assert err == f"validation error: a measure must be a JSON object, got {nu!r}\n"
+
+
 def test_nan_sigma_exits_one(monkeypatch, capsys):
     # every command rejects a NaN or zero sigma alike, while building its inputs
     calls = count_samples(monkeypatch)

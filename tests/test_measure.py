@@ -101,6 +101,19 @@ def test_g_uniform_segment_against_quadrature():
     assert val == pytest.approx(0.34657359027997264, abs=1e-12)  # ln(2)/2
 
 
+def test_real_segment_term_keeps_its_digits_far_from_a_narrow_segment():
+    # there (z - lo)/(z - hi) nears 1, and the log of the rounded quotient
+    # keeps only about 1e-16 |z - lo| / (hi - lo) of g's relative precision
+    m = MeasureSpec(segments=((1.0, 3.75, 3.75028),))
+    for z in (-6.9, 3.7, 3.8, 1e3):
+        g, gp, _, _ = _oracle(m, z)
+        got = [measure.g_nu_and_prime(m, z),
+               [v.item() for v in measure.g_nu_and_prime(m, np.array([z]))]]
+        for got_g, got_gp in got:
+            assert got_g == pytest.approx(g.real, rel=1e-14, abs=0.0)
+            assert got_gp == pytest.approx(gp.real, rel=1e-14, abs=0.0)
+
+
 def test_g_inside_support_rejected():
     with pytest.raises(DomainError):
         measure.g_nu(DELTA2, 2.0)

@@ -126,6 +126,48 @@ def test_admissible_set_matches_sign_grid(p, lo, hi):
         assert (adm.gap_index(x) is not None) == member, f"mismatch at x={x}"
 
 
+def _a(p, u):
+    return 1.0 + p.sigma ** 2 * p.c * measure.g_nu(p.nu, u)
+
+
+@given(measures(), st.floats(1e-3, 3.0), st.floats(0.05, 1.0))
+@example(DELTA1, 1.0, 1.0)
+@example(TWO_ATOMS, 1e-3, 1.0)
+@example(TWO_ATOMS, 1e-3, 0.5)  # phi' changes sign next to the crossing by each atom
+@example(MeasureSpec(segments=((1.0, 1.0, 3.0),)), 0.5, 1.0)
+@example(MeasureSpec(atoms=((0.5, 2.0),), segments=((0.5, 4.0, 6.0),)), 3.0, 1.0)
+# Newton stops 1.8e-14 past the crossing, 8e-12 from the segment end at
+# 1.25, where a < 0 < phi' ~ 1e6: the scan window's upper end steps back
+@example(MeasureSpec(atoms=((0.30991, 2.99155), (0.18375, 9.05485)),
+                     segments=((0.22964, 1.25, 1.53259), (0.2767, 5.0, 5.24259))),
+         0.22377698380569258, 1.0)
+# c ~ 1 and narrow segments far from the crossing: phi' ~ a next to it, so
+# g_nu must keep the relative precision that a log of (u-lo)/(u-hi) near 1
+# loses
+@example(MeasureSpec(segments=((0.8546220514830187, 3.75, 3.7502803585522417),
+                               (0.14537794851698138, 7.5, 7.50072160823763))),
+         3.332856893220611, 0.999999999999)
+@settings(max_examples=60, deadline=None)
+def test_admissible_set_from_its_definition(nu, sigma, c):
+    # read off phi' and a = 1 + sigma^2 c g_nu, not off the scan: inside each
+    # admissible piece both are positive, and across each boundary one of
+    # them changes sign, unless the boundary is a guard point next to supp(nu)
+    p = ModelParams(sigma=sigma, c=c, nu=nu)
+    adm = subordination.admissible_set(p)
+    comps = measure.support_of(nu)
+    for lo, hi in adm.gaps():
+        u = lo + 1.0 if math.isinf(hi) else hi - 1.0 if math.isinf(lo) else 0.5 * (lo + hi)
+        assert subordination.phi_prime(p, u) > 0.0 and _a(p, u) > 0.0, (lo, hi)
+    for b in (b for iv in adm.intervals for b in iv):
+        dist = comps.distance(b)
+        if dist <= subordination._endpoint_guard(b):
+            continue
+        h = min(1e-9 * max(1.0, abs(b)), 0.5 * dist)
+        flips = [f(b - h) * f(b + h) < 0.0
+                 for f in (lambda u: subordination.phi_prime(p, u), lambda u: _a(p, u))]
+        assert any(flips), b
+
+
 def test_admissible_set_point_mass_c1():
     adm = subordination.admissible_set(MODEL_D1_C1)
     assert len(adm.intervals) == 1
