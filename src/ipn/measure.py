@@ -11,8 +11,8 @@ special case used as an oracle in tests.
 and segments gives the Stieltjes transform and its derivative at a complex
 scalar, a float, or elementwise a real or complex numpy array, after one
 check of the argument; only the segments' log follows the input type
-(``cmath.log`` or ``np.log``, which share the principal branch, off the
-real axis, and ``math.log1p`` or ``np.log1p`` on it).  ``g_nu``
+(``cmath`` or ``np`` log and atanh off the real axis, and ``math.log1p``
+or ``np.log1p`` on it).  ``g_nu``
 returns its first value, and ``log_potential`` takes the same complex
 scalars and arrays through one body.
 """
@@ -199,18 +199,18 @@ def g_nu_and_prime(m: MeasureSpec, z):
     with an element on the real axis.  Outputs have the input's shape, real
     for real inputs; in a gap the derivative is strictly negative.  Segments
     use the principal branch of log((z-lo)/(z-hi)), which is analytic off
-    the segment; at real z it is +-log1p((hi-lo)/d), for d the distance to
-    the nearer end, which keeps its relative precision where the quotient
-    nears 1, far from a narrow segment.
+    the segment, in forms that keep their relative precision far from a
+    narrow segment, where the quotient nears 1: +-log1p((hi-lo)/d) at real
+    z, for d the distance to the nearer end, and 2 atanh((hi-lo)/(2z-lo-hi))
+    off the real axis farther than hi - lo from the midpoint.
     """
-    real = None
+    real = complex_array = None
     if isinstance(z, complex) and z.imag != 0.0:
         g = gp = 0j
-        log = cmath.log
     elif isinstance(z, np.ndarray) and np.iscomplexobj(z):
         _off_real_axis(z)
         g = gp = 0j
-        log = np.log
+        complex_array = True
     elif isinstance(z, np.ndarray):
         z, real = np.asarray(z, dtype=float), (np.log1p, np.copysign, np.minimum)
         on = ~(m.support.distance(z) > ATOL)
@@ -230,13 +230,22 @@ def g_nu_and_prime(m: MeasureSpec, z):
         g += r
         gp -= r / d  # w / d^2 without forming d^2, which overflows past |d| ~ 1e154
     for w, lo, hi in m.segments:
+        dlo, dhi = z - lo, z - hi
         if real:
             log1p, copysign, nearer = real
-            seg = copysign(log1p((hi - lo) / nearer(abs(z - lo), abs(z - hi))), z - hi)
+            seg = copysign(log1p((hi - lo) / nearer(abs(dlo), abs(dhi))), dhi)
         else:
-            seg = log((z - lo) / (z - hi))
+            # farther from the midpoint than hi - lo, 2 atanh(...) is the
+            # same branch, free of the rounded quotient's loss near 1; nearer,
+            # atanh's argument can near +-1 and the quotient is kept
+            s = dlo + dhi
+            far = abs(s) > 2.0 * (hi - lo)
+            if complex_array:
+                seg = np.where(far, 2.0 * np.arctanh((hi - lo) / s), np.log(dlo / dhi))
+            else:
+                seg = 2.0 * cmath.atanh((hi - lo) / s) if far else cmath.log(dlo / dhi)
         g += w / (hi - lo) * seg
-        gp -= w / (z - hi) / (z - lo)
+        gp -= w / dhi / dlo
     return g, gp
 
 

@@ -33,8 +33,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import measure
 from .errors import ConvergenceError, DomainError
 from .measure import MeasureSpec
@@ -43,10 +41,9 @@ from .measure import MeasureSpec
 #: admissible set is open, so such points are excluded).
 PHI_PRIME_FLOOR = 1e-12
 
-#: Absolute precision of isolated admissible-set boundaries.
+#: Absolute precision of the g-threshold crossing (slope roots, the other
+#: admissible-set boundaries, are bisected to adjacent floats).
 BOUNDARY_XTOL = 1e-11
-
-_SCAN_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -170,7 +167,7 @@ def _bracketed_root(fd, a: float, b: float, xtol: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _window(p: ModelParams, gap_lo: float, gap_hi: float) -> tuple[float, float]:
-    """Finite scan window holding every point of a gap of supp(nu) where
+    """Finite window holding every point of a gap of supp(nu) where
     a = 1 + sigma^2 c g_nu > 0: from the finite lower end moved in by the
     support-membership guard, or a bound below u_1, up to the g-threshold
     crossing, or on the unbounded right gap a bound above v_p (see the
@@ -188,8 +185,8 @@ def _window(p: ModelParams, gap_lo: float, gap_hi: float) -> tuple[float, float]
         return lo, (math.sqrt(gap_lo) + r) ** 2 + 1.0 + 4.0 * r * r
     # Newton can stop just past the crossing (it ends there where g_nu is
     # concave).  Where g_nu' is large, as next to a segment end, phi' can
-    # then pass the floor with a < 0, which the scan would take for an
-    # admissible point: step back, in steps doubling from one ulp, until not
+    # then pass the floor with a < 0, which ``_piece_end`` would take for
+    # an admissible point: step back, in steps doubling from one ulp, until not
     back = math.ulp(hi)
     while (hi > lo and 1.0 + s2 * p.c * measure.g_nu(p.nu, hi) < 0.0
            and phi_prime(p, hi) > PHI_PRIME_FLOOR):
@@ -200,52 +197,6 @@ def _window(p: ModelParams, gap_lo: float, gap_hi: float) -> tuple[float, float]
 def _endpoint_guard(x: float) -> float:
     """Closest admissible approach to a finite endpoint of supp(nu)."""
     return 4.0 * measure.ATOL * max(1.0, abs(x))
-
-
-def _sample_points(lo: float, hi: float, cluster_lo: bool,
-                   cluster_hi: bool) -> np.ndarray:
-    """Uniform grid plus geometric clusters toward finite gap endpoints.
-
-    The clusters catch the sign dives of phi' next to supp(nu), which a
-    uniform grid misses when sigma is small.  Only points strictly inside
-    (lo, hi) are kept, sorted and each once.
-    """
-    width = hi - lo
-    pts = [np.linspace(lo, hi, _SCAN_POINTS)]
-    ks = 0.5 ** np.arange(1, 54)
-    if cluster_lo:
-        pts.append(lo + width * ks)
-    if cluster_hi:
-        pts.append(hi - width * ks)
-    xs = np.sort(np.concatenate(pts))
-    xs = xs[(xs > lo) & (xs < hi)]
-    # neighbours compared by hand: np.unique would import numpy.ma, which
-    # costs a first support call 11-20 ms
-    return xs[np.diff(xs, prepend=-math.inf) > 0.0]
-
-
-def _positive_pieces(p: ModelParams, lo: float, hi: float, xs: np.ndarray,
-                     open_lo: bool, open_hi: bool) -> list[tuple[float, float]]:
-    """Subintervals of (lo, hi) where phi' > 0, from phi' at the sample
-    points xs inside it.
-
-    Each sign change between neighbouring samples brackets a zero of phi',
-    bisected to BOUNDARY_XTOL / 10; the pieces between those zeros alternate
-    in sign, starting with the first sample's.  Samples where
-    |phi'| <= PHI_PRIME_FLOOR are skipped: bisection between their nonzero
-    neighbours finds the zero.  An end marked open is unbounded.
-    """
-    vals = phi_prime(p, xs)
-    keep = np.abs(vals) > PHI_PRIME_FLOOR
-    xs, pos = xs[keep], vals[keep] > 0.0
-    if not pos.size:
-        return []
-    marks = [_bracketed_root(lambda u: (phi_prime(p, u), 0.0), float(xs[i]),
-                             float(xs[i + 1]), BOUNDARY_XTOL * 0.1)
-             for i in np.flatnonzero(pos[1:] != pos[:-1])]
-    edges = [-math.inf if open_lo else lo, *marks, math.inf if open_hi else hi]
-    pieces = list(zip(edges, edges[1:]))
-    return pieces[0 if pos[0] else 1::2]
 
 
 def g_threshold_crossing(p: ModelParams, gap: tuple[float, float]) -> float | None:
@@ -279,36 +230,70 @@ def g_threshold_crossing(p: ModelParams, gap: tuple[float, float]) -> float | No
 
 def _scan_gap(p: ModelParams, gap_lo: float,
               gap_hi: float) -> list[tuple[float, float]]:
-    """Admissible subintervals of one gap of supp(nu): the pieces of the
-    ``_window`` where phi' > 0.  A bounded window ends at the g-threshold
-    crossing u*, where phi' is 0 for c = 1 and sigma^4 c (1-c) g_nu'(u*) < 0
-    for c < 1, so no sign change of phi' is bracketed at u*.
+    """Admissible subinterval of one gap of supp(nu), if any: the piece of
+    the ``_window`` where phi' > 0 around the one peak of phi' there, with
+    its finite ends found by ``_piece_end``.  Where the window is empty or
+    the peak is not above PHI_PRIME_FLOOR the gap holds none (on an
+    unbounded gap, which always holds one, a ConvergenceError).
     """
-    win_lo, win_hi = _window(p, gap_lo, gap_hi)
-    xs = _sample_points(win_lo, win_hi, cluster_lo=not math.isinf(gap_lo),
-                        cluster_hi=not math.isinf(gap_hi))
-    good = _positive_pieces(p, win_lo, win_hi, xs, open_lo=math.isinf(gap_lo),
-                            open_hi=math.isinf(gap_hi))
-    # canonical form: at most one admissible interval in a bounded gap, and
-    # in an unbounded gap exactly one, unbounded on the same side
-    unbounded = [math.isinf(gap_lo), math.isinf(gap_hi)]
-    shapes = [[math.isinf(a), math.isinf(b)] for a, b in good]
-    if shapes != [unbounded] and (any(unbounded) or len(good) > 1):
-        raise ConvergenceError(
-            f"sign pattern in gap ({gap_lo}, {gap_hi}) unresolved at "
-            f"{_SCAN_POINTS} points")
-    return good
+    lo, hi = _window(p, gap_lo, gap_hi)
+    slope = functools.partial(phi_prime, p)
+    peak, top = _peak(slope, lo, hi) if lo < hi else (lo, -math.inf)
+    if not top > PHI_PRIME_FLOOR:
+        if math.isinf(gap_lo) or math.isinf(gap_hi):
+            raise ConvergenceError(
+                f"phi' has no positive peak on the unbounded gap ({gap_lo}, {gap_hi})")
+        return []
+    u = -math.inf if math.isinf(gap_lo) else _piece_end(slope, lo, peak)
+    v = math.inf if math.isinf(gap_hi) else _piece_end(slope, hi, peak)
+    return [(u, v)]
+
+
+def _peak(f, lo: float, hi: float) -> tuple[float, float]:
+    """A maximiser of f on [lo, hi] and f there, by golden-section search
+    down to adjacent floats: the maximum where f has one peak on [lo, hi]."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0  # 1 / the golden ratio
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = f(c), f(d)
+    while lo < c < d < hi:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+def _piece_end(slope, end: float, peak: float) -> float:
+    """End of the piece around ``peak`` where slope > 0, on the side of the
+    window end ``end``: step from there toward the peak, in steps doubling
+    from one ulp, until |slope| > PHI_PRIME_FLOOR (a bounded window ends at
+    the g-threshold crossing u*, where phi' is 0 for c = 1).  Where slope is
+    positive there the piece reaches ``end``; otherwise slope is bisected,
+    to adjacent floats, between that point and the peak."""
+    x, fx, step = end, slope(end), math.copysign(math.ulp(end), peak - end)
+    while abs(fx) <= PHI_PRIME_FLOOR:
+        x = end + step if abs(step) < abs(peak - end) else peak
+        fx, step = slope(x), 2.0 * step
+    if fx > 0.0:
+        return end
+    a, b = sorted((x, peak))
+    return _bracketed_root(lambda u: (slope(u), 0.0), a, b, 0.0)
 
 
 def admissible_set(p: ModelParams) -> AdmissibleSet:
     """Admissible set of the model, computed afresh on each call: ``support``
     holds it, once per ModelParams, as ``SupportResult.admissible``.
 
-    On each gap of supp(nu), phi' is scanned once on a
-    uniform-plus-endpoint-clustered grid of 4096 points over the ``_window``,
-    which ends at the crossing of g_nu with -1/(sigma^2 c) (Newton on g_nu)
-    where the gap has one.  Sign changes of phi' are bracketed and bisected
-    to absolute 1e-11; no cut or filter follows the scan.  Raises
+    Each gap of supp(nu) is decided by one peak search (``_scan_gap``):
+    the maximum of phi' over the ``_window``, which ends at the crossing of
+    g_nu with -1/(sigma^2 c) (Newton on g_nu) where the gap has one, is
+    found by golden-section search; where it is above PHI_PRIME_FLOOR the
+    gap holds one admissible piece, whose ends are bisected from the window
+    ends to adjacent floats.  No grid is sampled.  Raises
     ConvergenceError unless the result has the canonical form:
     boundaries strictly increasing, each component of supp(nu) inside one
     [u_l, v_l], each [u_l, v_l] holding one or more.

@@ -29,13 +29,19 @@ MODEL_MERGED = ModelParams(sigma=2.0, c=0.5, nu=TWO_ATOMS)  # one support interv
 MODEL_UNIFORM = ModelParams(sigma=0.5, c=1.0, nu=UNIFORM_13)
 MODEL_MIXED = ModelParams(sigma=0.4, c=0.8, nu=MIXED)
 
+# TWO_ATOMS at c = 0.5 merges into one support interval at this sigma; just
+# short of it the admissible interval in the gap (1, 5) that holds theta =
+# 2.65454 is narrow: about 1.8e-4 wide in u at sigma - 3e-9
+NEAR_MERGE_SIGMA = 1.142591864897458
+
 FIVE_MODELS = (MODEL_D1_C1, MODEL_D2_HALF, MODEL_SPLIT, MODEL_UNIFORM, MODEL_MIXED)
 ALL_MODELS = FIVE_MODELS + (MODEL_D2_C1, MODEL_MERGED)
 
 
 @st.composite
-def measures(draw):
-    """Random small atom + segment mixtures with comfortably separated parts."""
+def measures(draw, widths=st.floats(0.2, 0.7)):
+    """Random small atom + segment mixtures with comfortably separated parts,
+    segment widths drawn from ``widths``."""
     n_atoms = draw(st.integers(0, 3))
     n_segs = draw(st.integers(0, 2))
     if n_atoms + n_segs == 0:
@@ -50,13 +56,24 @@ def measures(draw):
         atoms.append((weights[i], 1.25 * slots[i] + draw(st.floats(0.0, 0.5))))
     for j in range(n_segs):
         base = 1.25 * slots[n_atoms + j]
-        segments.append((weights[n_atoms + j], base,
-                         base + draw(st.floats(0.2, 0.7))))
+        segments.append((weights[n_atoms + j], base, base + draw(widths)))
     try:
         return MeasureSpec(atoms=tuple(atoms), segments=tuple(segments))
     except ValueError:
         # rare slot collisions (atom at a segment edge); retry with atoms only
         return MeasureSpec(atoms=((1.0, 1.0 + draw(st.floats(0.0, 1.0))),))
+
+
+def narrow_measures():
+    """``measures`` with segment widths log-uniform from 1e-4 to 0.7: next to
+    a narrow segment g_nu' is large and phi' steep."""
+    return measures(widths=st.floats(math.log(1e-4), math.log(0.7)).map(math.exp))
+
+
+def ratios():
+    """c as 1 or 1 - 1e-12, where phi' is 0 or nearly so at the g-threshold
+    crossing, in half the draws, else uniform on [0.05, 1]."""
+    return st.one_of(st.sampled_from((1.0, 1.0 - 1e-12)), st.floats(0.05, 1.0))
 
 
 @pytest.fixture(scope="session")

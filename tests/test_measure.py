@@ -114,6 +114,21 @@ def test_real_segment_term_keeps_its_digits_far_from_a_narrow_segment():
             assert got_gp == pytest.approx(gp.real, rel=1e-14, abs=0.0)
 
 
+def test_complex_segment_term_keeps_its_digits_far_from_a_narrow_segment():
+    # the same off the real axis, where the log of the rounded quotient is
+    # off by 2.4e-10 relative at 1e3 + 1e-9i; next to the ends and over the
+    # segment the quotient is far from 1
+    m = MeasureSpec(segments=((1.0, 3.75, 3.75028),))
+    for z in (1e3 + 1e-9j, 50 + 1j, -6.9 + 0.5j, 3.76 + 1e-3j, 3.7501 + 1e-9j,
+              3.75 - 1e-6j, 3.75014 + 2.8e-4j):
+        g, gp, _, _ = _oracle(m, z)
+        got = [measure.g_nu_and_prime(m, z),
+               [v.item() for v in measure.g_nu_and_prime(m, np.array([z]))]]
+        for got_g, got_gp in got:
+            assert abs(got_g - g) <= 1e-14 * abs(g), z
+            assert abs(got_gp - gp) <= 1e-14 * abs(gp), z
+
+
 def test_g_inside_support_rejected():
     with pytest.raises(DomainError):
         measure.g_nu(DELTA2, 2.0)

@@ -12,7 +12,7 @@ from ipn.errors import AmbiguousSpike, DomainError
 from ipn.simulate import SimConfig
 from ipn.spikes import SpikeOutcome, SpikeSpec
 
-from conftest import MODEL_D1_C1, MODEL_MERGED, MODEL_SPLIT, TWO_ATOMS
+from conftest import MODEL_D1_C1, MODEL_MERGED, MODEL_SPLIT, NEAR_MERGE_SIGMA, TWO_ATOMS
 
 
 def test_spike_spec_validation():
@@ -139,18 +139,7 @@ def test_sticking_spikes_against_monte_carlo(p, n, N, theta, case, limit, rank):
     assert abs(observed - out.limit) <= simulate.DEFAULT_CHECKS["outlier_tolerance"]
 
 
-# TWO_ATOMS at c = 0.5 merges into one support interval at sigma* below; just
-# short of it the admissible interval in the gap (1, 5) that holds theta is
-# about 1.8e-4 wide, and at sigma* - 3e-9 the scan grid on the gap steps over it
-NEAR_MERGE_SIGMA = 1.142591864897458
-
-
-@pytest.mark.parametrize("below", [
-    1e-8,
-    pytest.param(3e-9, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 3: an admissible interval narrower "
-                            "than the scan grid is missed")),
-])
+@pytest.mark.parametrize("below", [1e-8, 3e-9, 1e-9])
 def test_near_merge_keeps_two_intervals_and_the_outlier(below):
     p = subordination.ModelParams(sigma=NEAR_MERGE_SIGMA - below, c=0.5, nu=TWO_ATOMS)
     assert len(subordination.support(p).intervals) == 2

@@ -14,8 +14,8 @@ from ipn.measure import MeasureSpec
 from ipn.subordination import ModelParams
 
 from conftest import (ALL_MODELS, DELTA1, DELTA2, FIVE_MODELS, MODEL_D1_C1, MODEL_D2_C1,
-                      MODEL_D2_HALF, MODEL_MIXED, MODEL_SPLIT, TWO_ATOMS, k_transform,
-                      measures, off_support_grid)
+                      MODEL_D2_HALF, MODEL_MIXED, MODEL_SPLIT, NEAR_MERGE_SIGMA, TWO_ATOMS,
+                      k_transform, measures, narrow_measures, off_support_grid, ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +130,14 @@ def _a(p, u):
     return 1.0 + p.sigma ** 2 * p.c * measure.g_nu(p.nu, u)
 
 
-@given(measures(), st.floats(1e-3, 3.0), st.floats(0.05, 1.0))
+@given(narrow_measures(), st.floats(1e-3, 3.0), ratios())
 @example(DELTA1, 1.0, 1.0)
 @example(TWO_ATOMS, 1e-3, 1.0)
 @example(TWO_ATOMS, 1e-3, 0.5)  # phi' changes sign next to the crossing by each atom
 @example(MeasureSpec(segments=((1.0, 1.0, 3.0),)), 0.5, 1.0)
 @example(MeasureSpec(atoms=((0.5, 2.0),), segments=((0.5, 4.0, 6.0),)), 3.0, 1.0)
 # Newton stops 1.8e-14 past the crossing, 8e-12 from the segment end at
-# 1.25, where a < 0 < phi' ~ 1e6: the scan window's upper end steps back
+# 1.25, where a < 0 < phi' ~ 1e6: the window's upper end steps back
 @example(MeasureSpec(atoms=((0.30991, 2.99155), (0.18375, 9.05485)),
                      segments=((0.22964, 1.25, 1.53259), (0.2767, 5.0, 5.24259))),
          0.22377698380569258, 1.0)
@@ -149,7 +149,7 @@ def _a(p, u):
          3.332856893220611, 0.999999999999)
 @settings(max_examples=60, deadline=None)
 def test_admissible_set_from_its_definition(nu, sigma, c):
-    # read off phi' and a = 1 + sigma^2 c g_nu, not off the scan: inside each
+    # read off phi' and a = 1 + sigma^2 c g_nu, not off the search: inside each
     # admissible piece both are positive, and across each boundary one of
     # them changes sign, unless the boundary is a guard point next to supp(nu)
     p = ModelParams(sigma=sigma, c=c, nu=nu)
@@ -166,6 +166,75 @@ def test_admissible_set_from_its_definition(nu, sigma, c):
         flips = [f(b - h) * f(b + h) < 0.0
                  for f in (lambda u: subordination.phi_prime(p, u), lambda u: _a(p, u))]
         assert any(flips), b
+
+
+def _slope_samples(p, lo, hi):
+    """phi' and a at about 20,000 points of [lo, hi] and at geometric clusters
+    toward both ends, with bounds on their rounding from the sizes of the
+    terms they sum."""
+    ks = 0.5 ** np.arange(1, 54)
+    xs = np.concatenate([np.linspace(lo, hi, 20001), lo + (hi - lo) * ks, hi - (hi - lo) * ks])
+    xs = np.unique(xs[(xs >= lo) & (xs <= hi)])
+    g, gp = measure.g_nu_and_prime(p.nu, xs)
+    s2c, tail = p.sigma ** 2 * p.c, p.sigma ** 2 * (1.0 - p.c)
+    a, size_a = 1.0 + s2c * g, 1.0 + abs(s2c * g)
+    slope = a * a + 2.0 * xs * a * s2c * gp + tail * s2c * gp
+    size = size_a ** 2 + abs(2.0 * xs * size_a * s2c * gp) + abs(tail * s2c * gp)
+    return xs, slope, 1e-13 * size, a, 1e-13 * size_a
+
+
+def _valleys_between_interior_peaks(v, tol):
+    """Mask of the samples m of v below an interior local maximum on each
+    side: a sample j there above v[m] and above some sample beyond j (away
+    from m), each by more than the rounding tol of both.  A rise toward an
+    end of v is no interior maximum."""
+    low, high = v + tol, v - tol
+    neg = np.full(1, -np.inf)
+    below_left = high[1:] > np.minimum.accumulate(low)[:-1]
+    below_right = high[:-1] > np.minimum.accumulate(low[::-1])[::-1][1:]
+    peak_left = np.where(np.concatenate([[False], below_left]), high, -np.inf)
+    peak_right = np.where(np.concatenate([below_right, [False]]), high, -np.inf)
+    left = np.concatenate([neg, np.maximum.accumulate(peak_left)[:-1]])
+    right = np.concatenate([np.maximum.accumulate(peak_right[::-1])[::-1][1:], neg])
+    return (left > low) & (right > low)
+
+
+@given(narrow_measures(), st.floats(1e-3, 3.0), ratios())
+@example(TWO_ATOMS, NEAR_MERGE_SIGMA - 3e-9, 0.5)
+@example(MeasureSpec(segments=((0.8546220514830187, 3.75, 3.7502803585522417),
+                               (0.14537794851698138, 7.5, 7.50072160823763))),
+         3.332856893220611, 0.999999999999)
+@settings(max_examples=40, deadline=None)
+def test_one_peak_of_phi_prime_per_window_and_no_missed_piece(nu, sigma, c):
+    # the rule that decides each gap by the one peak of phi' on its window,
+    # against phi' sampled densely there: on a bounded window phi' has at
+    # most one interior local maximum beyond rounding (it may rise again
+    # toward the crossing u*, to sigma^4 c (1-c) g_nu'(u*) < 0, and fall
+    # from the lower end), on an unbounded one it changes sign at most once,
+    # and no sample outside the admissible pieces has phi' > PHI_PRIME_FLOOR
+    # with a > 0, nor one inside them phi' < -PHI_PRIME_FLOOR or a < 0,
+    # beyond rounding
+    p = ModelParams(sigma=sigma, c=c, nu=nu)
+    adm = subordination.admissible_set(p)
+    bounds = {b for iv in adm.intervals for b in iv}
+    floor = subordination.PHI_PRIME_FLOOR
+    for gap_lo, gap_hi in measure.support_of(nu).gaps():
+        lo, hi = subordination._window(p, gap_lo, gap_hi)
+        if not lo < hi:
+            continue
+        xs, slope, tol, a, tol_a = _slope_samples(p, lo, hi)
+        if math.isinf(gap_lo) or math.isinf(gap_hi):
+            signs = np.sign(slope[abs(slope) > tol + floor])
+            assert np.count_nonzero(signs[1:] != signs[:-1]) <= 1, (gap_lo, gap_hi)
+        else:
+            valley = _valleys_between_interior_peaks(slope, tol)
+            assert not valley.any(), (gap_lo, gap_hi, xs[valley][:3])
+        admitted = np.array([adm.gap_index(float(x)) is not None for x in xs])
+        edge = np.isin(xs, list(bounds))
+        missed = ~admitted & ~edge & (slope > floor + tol) & (a > tol_a)
+        assert not missed.any(), (gap_lo, gap_hi, xs[missed][:3])
+        wrong = admitted & ((slope < -floor - tol) | (a < -tol_a))
+        assert not wrong.any(), (gap_lo, gap_hi, xs[wrong][:3])
 
 
 def test_admissible_set_point_mass_c1():
@@ -386,6 +455,91 @@ def test_support_within_norm_bound(p):
 @settings(max_examples=60, deadline=None)
 def test_support_within_norm_bound_on_random_measures(nu, sigma, c):
     check_norm_bound(ModelParams(sigma=sigma, c=c, nu=nu))
+
+
+def _poly_mul(f, g):
+    """Product of two polynomials given by coefficients, lowest degree first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_add(*fs):
+    out = [0] * max(len(f) for f in fs)
+    for f in fs:
+        for i, a in enumerate(f):
+            out[i] += a
+    return out
+
+
+def _poly_diff(f):
+    return [i * a for i, a in enumerate(f)][1:]
+
+
+def atomic_support_oracle(p: ModelParams, dps: int = 60) -> list[tuple[float, float]]:
+    """Support of the limit law for atomic nu and c < 1 from polynomial roots
+    at dps digits, sharing no code with ``subordination``.
+
+    With P = prod (u - t_i), Q = sum w_i prod_{j != i} (u - t_j) and
+    R = P + s^2 c Q, a = R/P and phi = N/P^2 for N = u R^2 + s^2 (1-c) R P,
+    so phi' = D/P^3 with D = N'P - 2NP'.  For c < 1, phi' < 0 where a = 0,
+    so the admissible-set boundaries are the real roots of D with R/P > 0,
+    and the support edges are N/P^2 there."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        s2, c = mpmath.mpf(p.sigma) ** 2, mpmath.mpf(p.c)
+        P = [mpmath.mpf(1)]
+        for _, t in p.nu.atoms:
+            P = _poly_mul(P, [-mpmath.mpf(t), 1])
+        Q = [0]
+        for i, (w, _) in enumerate(p.nu.atoms):
+            term = [mpmath.mpf(w)]
+            for j, (_, t) in enumerate(p.nu.atoms):
+                if j != i:
+                    term = _poly_mul(term, [-mpmath.mpf(t), 1])
+            Q = _poly_add(Q, term)
+        R = _poly_add(P, [s2 * c * q for q in Q])
+        N = _poly_add(_poly_mul([0, 1], _poly_mul(R, R)),
+                      [s2 * (1 - c) * v for v in _poly_mul(R, P)])
+        D = _poly_add(_poly_mul(_poly_diff(N), P),
+                      [-2 * v for v in _poly_mul(N, _poly_diff(P))])
+        at = lambda f, x: mpmath.polyval(f[::-1], x)
+        roots = mpmath.polyroots(D[::-1], maxsteps=500, extraprec=4 * dps)
+        real = sorted(r.real for r in roots if abs(r.imag) < mpmath.mpf(10) ** (10 - dps))
+        bounds = [x for x in real if at(R, x) * at(P, x) > 0]
+        edges = [float(at(N, x) / at(P, x) ** 2) for x in bounds]
+    assert len(edges) % 2 == 0, bounds
+    return list(zip(edges[::2], edges[1::2]))
+
+
+@st.composite
+def atomic_measures(draw):
+    """One to three atoms in separate slots, as ``measures`` places them."""
+    k = draw(st.integers(1, 3))
+    slots = draw(st.permutations(range(8)))[:k]
+    weights = [draw(st.floats(0.1, 1.0)) for _ in range(k)]
+    return MeasureSpec(atoms=tuple((w / sum(weights), 1.25 * s + draw(st.floats(0.01, 0.5)))
+                                   for w, s in zip(weights, slots)))
+
+
+@given(atomic_measures(), st.floats(1e-3, 3.0), st.floats(0.05, 0.99))
+@example(TWO_ATOMS, NEAR_MERGE_SIGMA - 1e-8, 0.5)
+@example(TWO_ATOMS, NEAR_MERGE_SIGMA - 3e-9, 0.5)
+@example(TWO_ATOMS, NEAR_MERGE_SIGMA - 1e-9, 0.5)
+@settings(max_examples=60, deadline=None)
+def test_support_against_the_polynomial_oracle(nu, sigma, c):
+    # the same number of intervals, near a merge too, where an admissible
+    # interval is down to 1e-4 wide, and every edge to rounding
+    p = ModelParams(sigma=sigma, c=c, nu=nu)
+    want = atomic_support_oracle(p)
+    got = subordination.support(p).intervals
+    assert len(got) == len(want)
+    for (lo, hi), (want_lo, want_hi) in zip(got, want):
+        assert lo == pytest.approx(want_lo, rel=1e-13, abs=0.0)
+        assert hi == pytest.approx(want_hi, rel=1e-13, abs=0.0)
 
 
 def test_support_result_serialization():
