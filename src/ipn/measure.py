@@ -11,10 +11,10 @@ special case used as an oracle in tests.
 and segments gives the Stieltjes transform and its derivative at a complex
 scalar, a float, or elementwise a real or complex numpy array, after one
 check of the argument; only the segments' log follows the input type
-(``cmath`` or ``np`` log and atanh off the real axis, and ``math.log1p``
-or ``np.log1p`` on it).  ``g_nu``
-returns its first value, and ``log_potential`` takes the same complex
-scalars and arrays through one body.
+(``cmath`` or ``np`` log and atanh off the real axis, ``math.log1p`` on
+it, elementwise for an array).  ``g_nu`` returns its first value, and
+``log_potential`` takes the same complex scalars and arrays through one
+body; ``cdf``, ``quantile`` and ``mass_between`` walk ``MeasureSpec.pieces``.
 """
 
 from __future__ import annotations
@@ -45,40 +45,42 @@ class MeasureSpec:
     within ``ATOL``; locations and endpoints must be nonnegative; segments
     must have pairwise disjoint interiors and atoms may not sit strictly
     inside a segment.  The point mass at zero alone is rejected (the theory
-    degenerates there).  ``support`` is supp(m), built once here and left
-    out of comparison and hashing (see ``support_of``).
+    degenerates there).  ``pieces``, each atom and segment as (lo, hi, w)
+    sorted by (lo, hi), lo == hi for an atom, and ``support``, supp(m) (see
+    ``support_of``), are built once here and left out of comparison and hashing.
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
     segments: tuple[tuple[float, float, float], ...] = ()
     support: SupportComponents = field(init=False, repr=False, compare=False)
+    pieces: tuple[tuple[float, float, float], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        atoms = tuple(sorted((float(w), float(t)) for w, t in self.atoms))
-        atoms = tuple(sorted(atoms, key=lambda a: a[1]))
-        segments = tuple(
-            sorted(((float(w), float(lo), float(hi)) for w, lo, hi in self.segments),
-                   key=lambda s: s[1])
-        )
+        atoms = tuple(sorted(((float(w), float(t)) for w, t in self.atoms),
+                             key=lambda a: (a[1], a[0])))
+        segments = tuple(sorted(
+            ((float(w), float(lo), float(hi)) for w, lo, hi in self.segments),
+            key=lambda s: s[1]))
+        pieces = tuple(sorted([(t, t, w) for w, t in atoms]
+                              + [(lo, hi, w) for w, lo, hi in segments]))
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "pieces", pieces)
 
-        weights = [w for w, _ in atoms] + [w for w, _, _ in segments]
+        weights = [w for _, _, w in pieces]
         if not weights:
             raise ValueError("measure must have at least one atom or segment")
-        if not all(math.isfinite(v) for item in atoms + segments for v in item):
+        if not all(math.isfinite(v) for piece in pieces for v in piece):
             raise ValueError("weights, locations and endpoints must be finite")
         if any(w <= 0.0 for w in weights):
             raise ValueError("all weights must be positive")
         total = math.fsum(weights)
         if abs(total - 1.0) > ATOL:
             raise ValueError(f"weights must sum to 1 within {ATOL}, got {total!r}")
-        for _, t in atoms:
-            if t < 0.0:
-                raise ValueError("atom locations must be nonnegative")
+        if pieces[0][0] < 0.0:
+            raise ValueError("locations and segment endpoints must be nonnegative")
         for _, lo, hi in segments:
-            if lo < 0.0:
-                raise ValueError("segment endpoints must be nonnegative")
             if hi <= lo:
                 raise ValueError("segment must have hi > lo")
         for (_, _, hi_prev), (_, lo_next, _) in zip(segments, segments[1:]):
@@ -90,7 +92,7 @@ class MeasureSpec:
                     raise ValueError("atoms may not lie in the interior of a segment")
         if not segments and len(atoms) == 1 and atoms[0][1] <= ATOL:
             raise ValueError("the point mass at zero alone is not admissible")
-        object.__setattr__(self, "support", _merged_support(atoms, segments))
+        object.__setattr__(self, "support", _merged_support(pieces))
 
     @classmethod
     def point_mass(cls, location: float) -> "MeasureSpec":
@@ -172,14 +174,12 @@ def support_of(m: MeasureSpec) -> SupportComponents:
     return m.support
 
 
-def _merged_support(atoms, segments) -> SupportComponents:
-    """Atoms and segments as sorted disjoint closed intervals.  Atoms within
+def _merged_support(pieces) -> SupportComponents:
+    """Sorted pieces as sorted disjoint closed intervals.  Atoms within
     ``ATOL`` of a segment endpoint merge into that segment so the
     components stay disjoint."""
-    raw = [(t, t) for _, t in atoms] + [(lo, hi) for _, lo, hi in segments]
-    raw.sort()
     merged: list[list[float]] = []
-    for lo, hi in raw:
+    for lo, hi, _ in pieces:
         if merged and lo <= merged[-1][1] + ATOL:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
@@ -212,7 +212,8 @@ def g_nu_and_prime(m: MeasureSpec, z):
         g = gp = 0j
         complex_array = True
     elif isinstance(z, np.ndarray):
-        z, real = np.asarray(z, dtype=float), (np.log1p, np.copysign, np.minimum)
+        z = np.asarray(z, dtype=float)
+        real = (np.vectorize(math.log1p, otypes=[float]), np.copysign, np.minimum)
         on = ~(m.support.distance(z) > ATOL)
         if on.any():
             raise DomainError(
@@ -284,58 +285,56 @@ def log_potential(m: MeasureSpec, z):
 
 
 def cdf(m: MeasureSpec, x: float) -> float:
-    """Right-continuous distribution function of ``m`` at x; NaN raises
-    DomainError."""
+    """Right-continuous distribution function of ``m`` at x, 1 from the top
+    of the support on (the weights may sum to 1 - ulp); NaN: DomainError."""
     if math.isnan(x):
         raise DomainError("cdf is undefined at NaN")
+    if x >= m.support.max:
+        return 1.0
     total = 0.0
-    for w, t in m.atoms:
-        if t <= x:
-            total += w
-    for w, lo, hi in m.segments:
+    for lo, hi, w in m.pieces:
         if x >= hi:
             total += w
         elif x > lo:
             total += w * (x - lo) / (hi - lo)
+        else:
+            break
     return min(total, 1.0)
 
 
 def quantile(m: MeasureSpec, alpha: float) -> float:
-    """Generalized inverse of the CDF: inf{x : F(x) >= alpha}.
-
-    ``alpha`` must lie in [0, 1]; the endpoints map to the extremes of the
-    support.
-    """
+    """Generalized inverse of the CDF, inf{x : F(x) >= alpha}, for alpha in
+    [0, 1] (the endpoints give the support's extremes).  The weights are
+    summed as ``cdf`` sums them, and a segment's interpolated point steps up
+    by ulps while ``cdf`` reads it below alpha."""
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"quantile level must be in [0, 1], got {alpha!r}")
-    pieces: list[tuple[float, float, float, float]] = []  # (position, w, lo, hi)
-    for w, t in m.atoms:
-        pieces.append((t, w, t, t))
-    for w, lo, hi in m.segments:
-        pieces.append((lo, w, lo, hi))
-    pieces.sort()
     if alpha == 0.0:
-        return pieces[0][2]
+        return m.support.min
     cum = 0.0
-    for _, w, lo, hi in pieces:
+    for lo, hi, w in m.pieces:
         if alpha <= cum + w:
             if lo == hi:
                 return lo
-            return lo + (alpha - cum) / w * (hi - lo)
+            q = min(lo + (alpha - cum) / w * (hi - lo), hi)
+            while cdf(m, q) < alpha:
+                q = math.nextafter(q, math.inf)
+            return q
         cum += w
-    return pieces[-1][3]
+    return m.support.max
 
 
 def mass_between(m: MeasureSpec, lo: float, hi: float) -> float:
     """Mass assigned by ``m`` to the closed interval [lo, hi]."""
     total = 0.0
-    for w, t in m.atoms:
-        if lo <= t <= hi:
-            total += w
-    for w, s_lo, s_hi in m.segments:
-        overlap = min(hi, s_hi) - max(lo, s_lo)
-        if overlap > 0.0:
-            total += w * overlap / (s_hi - s_lo)
+    for p_lo, p_hi, w in m.pieces:
+        if p_lo > hi:
+            break
+        if p_lo == p_hi:
+            if lo <= p_lo:
+                total += w
+        elif (overlap := min(hi, p_hi) - max(lo, p_lo)) > 0.0:
+            total += w * overlap / (p_hi - p_lo)
     return total
 
 

@@ -7,12 +7,16 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from ipn import stieltjes, subordination
 from ipn.errors import DomainError
 from ipn.measure import MeasureSpec
 from ipn.subordination import ModelParams
+
+# a failing random example prints the @reproduce_failure line that replays it
+settings.register_profile("ipn", print_blob=True)
+settings.load_profile("ipn")
 
 DELTA1 = MeasureSpec.point_mass(1.0)
 DELTA2 = MeasureSpec.point_mass(2.0)

@@ -478,8 +478,46 @@ def _poly_diff(f):
     return [i * a for i, a in enumerate(f)][1:]
 
 
-def atomic_support_oracle(p: ModelParams, dps: int = 60) -> list[tuple[float, float]]:
-    """Support of the limit law for atomic nu and c < 1 from polynomial roots
+def _atomic_polynomials(p: ModelParams):
+    """P, R, N and D of ``atomic_support_oracle`` for atomic nu, as mpmath
+    coefficients at the working precision, lowest degree first."""
+    import mpmath
+
+    s2, c = mpmath.mpf(p.sigma) ** 2, mpmath.mpf(p.c)
+    P = [mpmath.mpf(1)]
+    for _, t in p.nu.atoms:
+        P = _poly_mul(P, [-mpmath.mpf(t), 1])
+    Q = [0]
+    for i, (w, _) in enumerate(p.nu.atoms):
+        term = [mpmath.mpf(w)]
+        for j, (_, t) in enumerate(p.nu.atoms):
+            if j != i:
+                term = _poly_mul(term, [-mpmath.mpf(t), 1])
+        Q = _poly_add(Q, term)
+    R = _poly_add(P, [s2 * c * q for q in Q])
+    N = _poly_add(_poly_mul([0, 1], _poly_mul(R, R)),
+                  [s2 * (1 - c) * v for v in _poly_mul(R, P)])
+    D = _poly_add(_poly_mul(_poly_diff(N), P),
+                  [-2 * v for v in _poly_mul(N, _poly_diff(P))])
+    return P, R, N, D
+
+
+def _at(f, x):
+    import mpmath
+
+    return mpmath.polyval(f[::-1], x)
+
+
+def _real_roots(f, dps: int):
+    import mpmath
+
+    roots = mpmath.polyroots(f[::-1], maxsteps=500, extraprec=4 * dps)
+    return sorted(r.real for r in roots if abs(r.imag) < mpmath.mpf(10) ** (10 - dps))
+
+
+def atomic_support_oracle(p: ModelParams, dps: int = 60):
+    """Admissible-set boundaries and support of the limit law for atomic nu
+    and c < 1, as two lists of (lower, upper) pairs, from polynomial roots
     at dps digits, sharing no code with ``subordination``.
 
     With P = prod (u - t_i), Q = sum w_i prod_{j != i} (u - t_j) and
@@ -490,29 +528,25 @@ def atomic_support_oracle(p: ModelParams, dps: int = 60) -> list[tuple[float, fl
     import mpmath
 
     with mpmath.workdps(dps):
-        s2, c = mpmath.mpf(p.sigma) ** 2, mpmath.mpf(p.c)
-        P = [mpmath.mpf(1)]
-        for _, t in p.nu.atoms:
-            P = _poly_mul(P, [-mpmath.mpf(t), 1])
-        Q = [0]
-        for i, (w, _) in enumerate(p.nu.atoms):
-            term = [mpmath.mpf(w)]
-            for j, (_, t) in enumerate(p.nu.atoms):
-                if j != i:
-                    term = _poly_mul(term, [-mpmath.mpf(t), 1])
-            Q = _poly_add(Q, term)
-        R = _poly_add(P, [s2 * c * q for q in Q])
-        N = _poly_add(_poly_mul([0, 1], _poly_mul(R, R)),
-                      [s2 * (1 - c) * v for v in _poly_mul(R, P)])
-        D = _poly_add(_poly_mul(_poly_diff(N), P),
-                      [-2 * v for v in _poly_mul(N, _poly_diff(P))])
-        at = lambda f, x: mpmath.polyval(f[::-1], x)
-        roots = mpmath.polyroots(D[::-1], maxsteps=500, extraprec=4 * dps)
-        real = sorted(r.real for r in roots if abs(r.imag) < mpmath.mpf(10) ** (10 - dps))
-        bounds = [x for x in real if at(R, x) * at(P, x) > 0]
-        edges = [float(at(N, x) / at(P, x) ** 2) for x in bounds]
+        P, R, N, D = _atomic_polynomials(p)
+        bounds = [x for x in _real_roots(D, dps) if _at(R, x) * _at(P, x) > 0]
+        edges = [float(_at(N, x) / _at(P, x) ** 2) for x in bounds]
+        bounds = [float(x) for x in bounds]
     assert len(edges) % 2 == 0, bounds
-    return list(zip(edges[::2], edges[1::2]))
+    return list(zip(bounds[::2], bounds[1::2])), list(zip(edges[::2], edges[1::2]))
+
+
+def atomic_omega_oracle(p: ModelParams, x: float, dps: int = 60) -> list[float]:
+    """The real roots u of N - x P^2 (phi(u) = x) with R/P > 0 and
+    D/P^3 > 0, i.e. a > 0 and phi' > 0: the admissible preimages of x, one
+    for x off the support, from polynomial roots at dps digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        P, R, N, D = _atomic_polynomials(p)
+        F = _poly_add(N, [-mpmath.mpf(x) * v for v in _poly_mul(P, P)])
+        return [float(u) for u in _real_roots(F, dps)
+                if _at(R, u) * _at(P, u) > 0 and _at(D, u) * _at(P, u) > 0]
 
 
 @st.composite
@@ -534,12 +568,41 @@ def test_support_against_the_polynomial_oracle(nu, sigma, c):
     # the same number of intervals, near a merge too, where an admissible
     # interval is down to 1e-4 wide, and every edge to rounding
     p = ModelParams(sigma=sigma, c=c, nu=nu)
-    want = atomic_support_oracle(p)
+    want = atomic_support_oracle(p)[1]
     got = subordination.support(p).intervals
     assert len(got) == len(want)
     for (lo, hi), (want_lo, want_hi) in zip(got, want):
         assert lo == pytest.approx(want_lo, rel=1e-13, abs=0.0)
         assert hi == pytest.approx(want_hi, rel=1e-13, abs=0.0)
+
+
+@given(atomic_measures(), st.floats(1e-3, 3.0), st.floats(0.05, 0.99))
+@settings(max_examples=30, deadline=None)
+def test_omega_against_the_polynomial_oracle(nu, sigma, c):
+    # off the support phi(u) = x has exactly one admissible root, and omega
+    # finds it to rounding
+    p = ModelParams(sigma=sigma, c=c, nu=nu)
+    for x in off_support_grid(subordination.support(p), per_gap=4):
+        roots = atomic_omega_oracle(p, x)
+        assert len(roots) == 1, (x, roots)
+        u = roots[0]
+        assert abs(subordination.omega(p, x) - u) <= 1e-13 * max(1.0, abs(u)), x
+
+
+@pytest.mark.xfail(strict=True, reason="phi'(u*) = -1e-12 lies inside PHI_PRIME_FLOOR, "
+                   "so the walk from u* first leaves the floor past the root of phi' "
+                   "and keeps u* as the lower boundary")
+def test_lower_boundary_at_c_one_minus_1e_12_against_the_oracle():
+    # phi' crosses 0 about 2.7e-12 below the g-threshold crossing u* and
+    # passes +1e-12 only about 8e-12 below it.  The edge, 1.35e-24, is
+    # quadratic in a = 1 + s^2 c g ~ 7.8e-13, whose rounding leaves phi at
+    # the oracle's own u 2.5e-8 off: the edge is held to 1e-6 relative
+    p = ModelParams(sigma=1.8665621982226608, c=1.0 - 1e-12,
+                    nu=MeasureSpec.point_mass(1.2406774785441685))
+    bounds, edges = atomic_support_oracle(p)
+    sup = subordination.support(p)
+    assert sup.admissible.u[0] == pytest.approx(bounds[0][0], rel=1e-13, abs=0.0)
+    assert sup.intervals[0][0] == pytest.approx(edges[0][0], rel=1e-6, abs=0.0)
 
 
 def test_support_result_serialization():
