@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import simulate, spikes as spikes_mod, stieltjes, subordination
+from . import measure, simulate, spikes as spikes_mod, stieltjes, subordination
 from .errors import AmbiguousSpike, ConvergenceError, DomainError, PreconditionError
 from .simulate import SimConfig, verify_all
 from .spikes import SpikeSpec
@@ -101,7 +101,8 @@ def _gap(cfg: dict) -> tuple[float, float] | None:
         return None
     if len(raw["gap"]) != 2:
         raise ValueError(f"separation.gap must be two numbers A B, got {raw['gap']!r}")
-    return float(raw["gap"][0]), float(raw["gap"][1])
+    return (measure.as_real("separation.gap", raw["gap"][0]),
+            measure.as_real("separation.gap", raw["gap"][1]))
 
 
 def _jsonable(obj):

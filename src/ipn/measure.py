@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -32,6 +33,15 @@ from .errors import DomainError
 #: endpoint merging.  Evaluation closer to the support than this is rejected
 #: as ill-conditioned.
 ATOL = 1e-12
+
+
+def as_real(name: str, value) -> float:
+    """``value`` as a float; ValueError for a bool, which ``float`` would
+    read as 0.0 or 1.0, and for anything that is not a real number, such as
+    a string that ``float`` would parse."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -57,10 +67,11 @@ class MeasureSpec:
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        atoms = tuple(sorted(((float(w), float(t)) for w, t in self.atoms),
+        atoms = tuple(sorted(((as_real("w", w), as_real("t", t)) for w, t in self.atoms),
                              key=lambda a: (a[1], a[0])))
         segments = tuple(sorted(
-            ((float(w), float(lo), float(hi)) for w, lo, hi in self.segments),
+            ((as_real("w", w), as_real("lo", lo), as_real("hi", hi))
+             for w, lo, hi in self.segments),
             key=lambda s: s[1]))
         pieces = tuple(sorted([(t, t, w) for w, t in atoms]
                               + [(lo, hi, w) for w, lo, hi in segments]))

@@ -40,7 +40,7 @@ class SpikeSpec:
         if any(isinstance(k, bool) or isinstance(k, float) and not k.is_integer()
                for k in self.multiplicities):
             raise DomainError("multiplicities must be positive integers")
-        thetas = tuple(float(t) for t in self.thetas)
+        thetas = tuple(measure.as_real("theta", t) for t in self.thetas)
         mults = tuple(int(k) for k in self.multiplicities)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "multiplicities", mults)

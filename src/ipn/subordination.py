@@ -37,13 +37,10 @@ from . import measure
 from .errors import ConvergenceError, DomainError
 from .measure import MeasureSpec
 
-#: Sign of phi' below this magnitude is treated as a boundary value (the
-#: admissible set is open, so such points are excluded).
+#: A gap of supp(nu) holds an admissible piece only where the peak of phi'
+#: over its window passes this (a peak at rounding level, as next to a
+#: merge of two support intervals, is taken for none).
 PHI_PRIME_FLOOR = 1e-12
-
-#: Absolute precision of the g-threshold crossing (slope roots, the other
-#: admissible-set boundaries, are bisected to adjacent floats).
-BOUNDARY_XTOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -56,8 +53,8 @@ class ModelParams:
     nu: MeasureSpec
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "sigma", measure.as_real("sigma", self.sigma))
+        object.__setattr__(self, "c", measure.as_real("c", self.c))
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
         if not 0.0 < self.c <= 1.0:
@@ -171,26 +168,17 @@ def _window(p: ModelParams, gap_lo: float, gap_hi: float) -> tuple[float, float]
     a = 1 + sigma^2 c g_nu > 0: from the finite lower end moved in by the
     support-membership guard, or a bound below u_1, up to the g-threshold
     crossing, or on the unbounded right gap a bound above v_p (see the
-    module docstring for m, M, r, F1 and F2)."""
-    s2 = p.sigma ** 2
+    module docstring for m, M, r, F1 and F2).  a > 0 at a finite upper end."""
     r = p.sigma * (1.0 + math.sqrt(p.c))
     if math.isinf(gap_lo):
         # u_1 >= phi(u_1) - s^2 (1+c) >= (sqrt(m) - r)_+^2 - s^2 (1+c) by (F2)
-        lo = max(math.sqrt(gap_hi) - r, 0.0) ** 2 - s2 * (1.0 + p.c) - 1.0
+        lo = max(math.sqrt(gap_hi) - r, 0.0) ** 2 - p.sigma ** 2 * (1.0 + p.c) - 1.0
     else:
         lo = gap_lo + _endpoint_guard(gap_lo)
     hi = g_threshold_crossing(p, (gap_lo, gap_hi))
     if hi is None:
         # v_p < phi(v_p) <= (sqrt(M) + r)^2 by (F1)
-        return lo, (math.sqrt(gap_lo) + r) ** 2 + 1.0 + 4.0 * r * r
-    # Newton can stop just past the crossing (it ends there where g_nu is
-    # concave).  Where g_nu' is large, as next to a segment end, phi' can
-    # then pass the floor with a < 0, which ``_piece_end`` would take for
-    # an admissible point: step back, in steps doubling from one ulp, until not
-    back = math.ulp(hi)
-    while (hi > lo and 1.0 + s2 * p.c * measure.g_nu(p.nu, hi) < 0.0
-           and phi_prime(p, hi) > PHI_PRIME_FLOOR):
-        hi, back = max(hi - back, lo), 2.0 * back
+        hi = (math.sqrt(gap_lo) + r) ** 2 + 1.0 + 4.0 * r * r
     return lo, hi
 
 
@@ -200,41 +188,50 @@ def _endpoint_guard(x: float) -> float:
 
 
 def g_threshold_crossing(p: ModelParams, gap: tuple[float, float]) -> float | None:
-    """Unique solution of g_nu(u) = -1/(sigma^2 c) inside a gap of supp(nu).
+    """Last point, to within a few ulps, before the root of
+    a = 1 + sigma^2 c g_nu(u) inside a gap of supp(nu) where a > 0 in
+    floats (g_nu = -1/(sigma^2 c) at the root).
 
     ``gap`` may have infinite endpoints.  Returns None on the unbounded right
-    gap, where g_nu > 0 > -1/(sigma^2 c) holds throughout.  g_nu decreases
-    strictly on a gap, so it is compared at the two guard points (the
-    support-membership guard inside each finite end, -sigma^2 c - 1 on the
-    unbounded left gap, where the crossing cannot lie): when the crossing
-    lies beyond one of them (possible next to a segment, where g diverges
-    only logarithmically), that guard point itself is returned, since the
-    condition is settled on the resolvable part of the gap.
+    gap, where g_nu > 0 > -1/(sigma^2 c) holds throughout.  a is found by
+    Newton down to adjacent floats and then stepped back, in steps doubling
+    from one ulp, while it is not positive.  g_nu decreases strictly on a
+    gap, so a is compared at the two guard points (the support-membership
+    guard inside each finite end, -sigma^2 c - 1 on the unbounded left gap,
+    where the crossing cannot lie): when the crossing lies beyond one of them
+    (possible next to a segment, where g diverges only logarithmically),
+    that guard point itself is returned, since the condition is settled on
+    the resolvable part of the gap.
     """
     gap_lo, gap_hi = gap
-    thr = -1.0 / (p.sigma ** 2 * p.c)
+    s2c = p.c * p.sigma ** 2
     if math.isinf(gap_hi):
         return None
     if math.isinf(gap_lo):
-        left = -p.sigma ** 2 * p.c - 1.0  # here g_nu >= 1/left > thr, as u g_nu(u) <= 1
+        left = -s2c - 1.0  # here g_nu >= 1/left, so a > 0, as u g_nu(u) <= 1
     else:
         left = gap_lo + _endpoint_guard(gap_lo)
     right = gap_hi - _endpoint_guard(gap_hi)
 
     def fd(u):
         g, gp = measure.g_nu_and_prime(p.nu, u)
-        return g - thr, gp
+        return 1.0 + s2c * g, s2c * gp
 
-    return _bracketed_root(fd, left, right, BOUNDARY_XTOL * 0.1)
+    u = _bracketed_root(fd, left, right, 0.0)
+    back = math.ulp(u)
+    while u > left and fd(u)[0] <= 0.0:
+        u, back = max(u - back, left), 2.0 * back
+    return u
 
 
 def _scan_gap(p: ModelParams, gap_lo: float,
               gap_hi: float) -> list[tuple[float, float]]:
     """Admissible subinterval of one gap of supp(nu), if any: the piece of
-    the ``_window`` where phi' > 0 around the one peak of phi' there, with
-    its finite ends found by ``_piece_end``.  Where the window is empty or
-    the peak is not above PHI_PRIME_FLOOR the gap holds none (on an
-    unbounded gap, which always holds one, a ConvergenceError).
+    the ``_window`` where phi' > 0 around the one peak of phi' there, each
+    finite end decided by the sign of phi' at the window end
+    (``_piece_end``).  Where the window is empty or the peak is not above
+    PHI_PRIME_FLOOR the gap holds none (on an unbounded gap, which always
+    holds one, a ConvergenceError).
     """
     lo, hi = _window(p, gap_lo, gap_hi)
     slope = functools.partial(phi_prime, p)
@@ -269,18 +266,14 @@ def _peak(f, lo: float, hi: float) -> tuple[float, float]:
 
 def _piece_end(slope, end: float, peak: float) -> float:
     """End of the piece around ``peak`` where slope > 0, on the side of the
-    window end ``end``: step from there toward the peak, in steps doubling
-    from one ulp, until |slope| > PHI_PRIME_FLOOR (a bounded window ends at
-    the g-threshold crossing u*, where phi' is 0 for c = 1).  Where slope is
-    positive there the piece reaches ``end``; otherwise slope is bisected,
-    to adjacent floats, between that point and the peak."""
-    x, fx, step = end, slope(end), math.copysign(math.ulp(end), peak - end)
-    while abs(fx) <= PHI_PRIME_FLOOR:
-        x = end + step if abs(step) < abs(peak - end) else peak
-        fx, step = slope(x), 2.0 * step
-    if fx > 0.0:
+    window end ``end``: ``end`` itself where slope is positive there, else
+    the root of slope bisected, to adjacent floats, between ``end`` and the
+    peak.  At a finite upper window end a > 0, so for c < 1, or for c = 1
+    with a positive crossing, phi' is strictly negative there unless the
+    piece reaches it: no sign is left to rounding."""
+    if slope(end) > 0.0:
         return end
-    a, b = sorted((x, peak))
+    a, b = sorted((end, peak))
     return _bracketed_root(lambda u: (slope(u), 0.0), a, b, 0.0)
 
 
@@ -289,11 +282,13 @@ def admissible_set(p: ModelParams) -> AdmissibleSet:
     holds it, once per ModelParams, as ``SupportResult.admissible``.
 
     Each gap of supp(nu) is decided by one peak search (``_scan_gap``):
-    the maximum of phi' over the ``_window``, which ends at the crossing of
-    g_nu with -1/(sigma^2 c) (Newton on g_nu) where the gap has one, is
-    found by golden-section search; where it is above PHI_PRIME_FLOOR the
-    gap holds one admissible piece, whose ends are bisected from the window
-    ends to adjacent floats.  No grid is sampled.  Raises
+    the maximum of phi' over the ``_window``, which ends at the last float
+    with a = 1 + sigma^2 c g_nu > 0 before the g-threshold crossing (Newton
+    on a) where the gap has one, is found by golden-section search; where
+    it is above PHI_PRIME_FLOOR the gap holds one admissible piece.  Each
+    of its finite ends is the window end where phi' > 0 there, else the
+    root of phi' bisected between that end and the peak to adjacent
+    floats.  No grid is sampled.  Raises
     ConvergenceError unless the result has the canonical form:
     boundaries strictly increasing, each component of supp(nu) inside one
     [u_l, v_l], each [u_l, v_l] holding one or more.

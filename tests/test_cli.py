@@ -153,6 +153,35 @@ def test_non_integral_config_integer_exits_one(tmp_path, capsys, section,
         assert capsys.readouterr().err.startswith("validation error: ")
 
 
+@pytest.mark.parametrize("section, field, bad", [
+    ("model", "sigma", True), ("model", "c", True), ("model", "sigma", "1"),
+    ("model", "nu", {"atoms": [{"w": True, "t": 1}]}),
+    ("model", "nu", {"atoms": [{"w": 1, "t": "1"}]}),
+    ("model", "nu", {"segments": [{"w": 1, "lo": True, "hi": 2}]}),
+    ("model", "nu", {"segments": [{"w": 1, "lo": 1, "hi": "2"}]}),
+    ("spikes", "thetas", [True]), ("spikes", "thetas", ["4.5"]),
+    ("separation", "gap", [True, 3.0]), ("separation", "gap", ["1", "3"])],
+    ids=["sigma_bool", "c_bool", "sigma_string", "w_bool", "t_string", "lo_bool",
+         "hi_string", "theta_bool", "theta_string", "gap_bool", "gap_string"])
+def test_non_real_config_number_exits_one(tmp_path, monkeypatch, capsys, section,
+                                          field, bad):
+    # a bool is no real number here, though float(True) is 1.0, nor is a
+    # string that float would parse; read as 1.0 or parsed, each would run
+    calls = count_samples(monkeypatch)
+    data = read_json(small_config(
+        tmp_path, model={"sigma": 0.1, "c": 1.0, "nu": {"atoms": [{"w": 1.0, "t": 4.0}]}},
+        spikes={"thetas": [4.5], "multiplicities": [1]}, separation={"gap": [1.0, 3.0]}))
+    data[section][field] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    commands = {"model": ["support", "spikes"], "spikes": ["spikes"],
+                "separation": ["separation"]}[section]
+    for command in commands:
+        assert run_cli([command, "--config", str(path)]) == 1  # nothing raised
+        assert capsys.readouterr().err.startswith("validation error: ")
+    assert calls == []
+
+
 @pytest.mark.parametrize("gap", [[2.0], [6.76, 6.8, 99.0]], ids=["one", "three"])
 def test_separation_gap_of_two_numbers(tmp_path, monkeypatch, capsys, gap):
     calls = count_samples(monkeypatch)

@@ -137,7 +137,7 @@ def _a(p, u):
 @example(MeasureSpec(segments=((1.0, 1.0, 3.0),)), 0.5, 1.0)
 @example(MeasureSpec(atoms=((0.5, 2.0),), segments=((0.5, 4.0, 6.0),)), 3.0, 1.0)
 # Newton stops 1.8e-14 past the crossing, 8e-12 from the segment end at
-# 1.25, where a < 0 < phi' ~ 1e6: the window's upper end steps back
+# 1.25, where a < 0 < phi' ~ 1e6: the crossing steps back to a > 0
 @example(MeasureSpec(atoms=((0.30991, 2.99155), (0.18375, 9.05485)),
                      segments=((0.22964, 1.25, 1.53259), (0.2767, 5.0, 5.24259))),
          0.22377698380569258, 1.0)
@@ -589,20 +589,49 @@ def test_omega_against_the_polynomial_oracle(nu, sigma, c):
         assert abs(subordination.omega(p, x) - u) <= 1e-13 * max(1.0, abs(u)), x
 
 
-@pytest.mark.xfail(strict=True, reason="phi'(u*) = -1e-12 lies inside PHI_PRIME_FLOOR, "
-                   "so the walk from u* first leaves the floor past the root of phi' "
-                   "and keeps u* as the lower boundary")
-def test_lower_boundary_at_c_one_minus_1e_12_against_the_oracle():
-    # phi' crosses 0 about 2.7e-12 below the g-threshold crossing u* and
-    # passes +1e-12 only about 8e-12 below it.  The edge, 1.35e-24, is
-    # quadratic in a = 1 + s^2 c g ~ 7.8e-13, whose rounding leaves phi at
-    # the oracle's own u 2.5e-8 off: the edge is held to 1e-6 relative
-    p = ModelParams(sigma=1.8665621982226608, c=1.0 - 1e-12,
-                    nu=MeasureSpec.point_mass(1.2406774785441685))
+@given(atomic_measures(), st.floats(1e-3, 3.0),
+       st.sampled_from((1e-12, 1e-11, 1e-10, 1e-9)).map(lambda e: 1.0 - e))
+# phi' crosses 0 about 2.7e-12 below the g-threshold crossing u* and passes
+# +1e-12 only about 8e-12 below it: a walk from u* to |phi'| > 1e-12 lands
+# past the root and keeps u* as the lower boundary
+@example(MeasureSpec.point_mass(1.2406774785441685), 1.8665621982226608, 1.0 - 1e-12)
+@settings(max_examples=40, deadline=None)
+def test_lower_boundary_at_c_one_minus_1e_12_against_the_oracle(nu, sigma, c):
+    # near c = 1, phi' at u* is sigma^4 c (1-c) g_nu'(u*), within rounding
+    # of 0, and the lower boundary lies just below u*.  There the lower
+    # edge, down to about 1e-24, is quadratic in a = 1 + s^2 c g ~ 1e-12,
+    # whose rounding leaves phi at the oracle's own u 2.5e-8 off: the lower
+    # edge is held to 1e-6 relative, every other edge to rounding
+    p = ModelParams(sigma=sigma, c=c, nu=nu)
     bounds, edges = atomic_support_oracle(p)
     sup = subordination.support(p)
-    assert sup.admissible.u[0] == pytest.approx(bounds[0][0], rel=1e-13, abs=0.0)
-    assert sup.intervals[0][0] == pytest.approx(edges[0][0], rel=1e-6, abs=0.0)
+    assert len(sup.intervals) == len(edges)
+    for got, want in zip(sup.admissible.intervals, bounds):
+        for b, want_b in zip(got, want):
+            assert abs(b - want_b) <= 1e-13 * max(1.0, abs(want_b)), (got, want)
+    for k, ((lo, hi), (want_lo, want_hi)) in enumerate(zip(sup.intervals, edges)):
+        assert lo == pytest.approx(want_lo, rel=1e-6 if k == 0 else 1e-13, abs=0.0)
+        assert hi == pytest.approx(want_hi, rel=1e-13, abs=0.0)
+
+
+@given(atomic_measures(), st.floats(1e-3, 3.0), ratios())
+@settings(max_examples=60, deadline=None)
+def test_g_threshold_crossing_against_the_roots_of_r(nu, sigma, c):
+    # a = R/P (see ``atomic_support_oracle``) has one root r in each gap of
+    # supp(nu) but the unbounded right one; the crossing is a point next to
+    # r where a, as phi_and_prime rounds it, is positive
+    import mpmath
+
+    p = ModelParams(sigma=sigma, c=c, nu=nu)
+    with mpmath.workdps(60):
+        roots = [float(r) for r in _real_roots(_atomic_polynomials(p)[1], 60)]
+    gaps = [gap for gap in measure.support_of(nu).gaps() if not math.isinf(gap[1])]
+    assert len(roots) == len(gaps)
+    for gap, r in zip(gaps, roots):
+        assert gap[0] < r < gap[1]
+        u = subordination.g_threshold_crossing(p, gap)
+        assert 1.0 + p.c * p.sigma ** 2 * measure.g_nu(nu, u) > 0.0, (gap, u)
+        assert abs(u - r) <= 1e-13 * max(1.0, abs(r)), (gap, u, r)
 
 
 def test_support_result_serialization():
