@@ -92,7 +92,7 @@ def _sim(cfg: dict) -> SimConfig:
 def _rank_size(cfg: dict) -> int | None:
     """``sim.n``, the matrix size verify-all ranks spikes against, if given."""
     n = cfg["sim"].get("n")
-    return None if n is None else simulate.as_int("n", n)
+    return None if n is None else measure.as_int("n", n)
 
 
 def _gap(cfg: dict) -> tuple[float, float] | None:

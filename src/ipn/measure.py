@@ -44,6 +44,16 @@ def as_real(name: str, value) -> float:
     return float(value)
 
 
+def as_int(name: str, value) -> int:
+    """``value`` as an int when it is one or an integral float; ValueError
+    for anything else, a bool (``int`` reads it as 0 or 1) and a string that
+    ``int`` would parse included."""
+    if isinstance(value, float) and value.is_integer() or (
+            isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MeasureSpec:
     """Finite mixture of atoms and uniform segments on the nonnegative axis.
@@ -54,10 +64,11 @@ class MeasureSpec:
     All numbers must be finite.  Weights must be positive and sum to one
     within ``ATOL``; locations and endpoints must be nonnegative; segments
     must have pairwise disjoint interiors and atoms may not sit strictly
-    inside a segment.  The point mass at zero alone is rejected (the theory
-    degenerates there).  ``pieces``, each atom and segment as (lo, hi, w)
-    sorted by (lo, hi), lo == hi for an atom, and ``support``, supp(m) (see
-    ``support_of``), are built once here and left out of comparison and hashing.
+    inside a segment, both up to ``ATOL``.  The point mass at zero alone is
+    rejected (the theory degenerates there).  ``pieces``, each atom and
+    segment as (lo, hi, w) in sorted order, lo == hi for an atom, is built
+    once; ``atoms``, ``segments`` and ``support``, supp(m) (see
+    ``support_of``), are read off it, and the hash is computed once.
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
@@ -65,45 +76,55 @@ class MeasureSpec:
     support: SupportComponents = field(init=False, repr=False, compare=False)
     pieces: tuple[tuple[float, float, float], ...] = field(
         init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        atoms = tuple(sorted(((as_real("w", w), as_real("t", t)) for w, t in self.atoms),
-                             key=lambda a: (a[1], a[0])))
-        segments = tuple(sorted(
-            ((as_real("w", w), as_real("lo", lo), as_real("hi", hi))
-             for w, lo, hi in self.segments),
-            key=lambda s: s[1]))
+        atoms = [(as_real("w", w), as_real("t", t)) for w, t in self.atoms]
+        segments = [(as_real("w", w), as_real("lo", lo), as_real("hi", hi))
+                    for w, lo, hi in self.segments]
+        if not all(math.isfinite(v) for piece in atoms + segments for v in piece):
+            raise ValueError("weights, locations and endpoints must be finite")
+        if any(hi <= lo for _, lo, hi in segments):
+            raise ValueError("segment must have hi > lo")
         pieces = tuple(sorted([(t, t, w) for w, t in atoms]
                               + [(lo, hi, w) for w, lo, hi in segments]))
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "pieces", pieces)
-
-        weights = [w for _, _, w in pieces]
-        if not weights:
+        if not pieces:
             raise ValueError("measure must have at least one atom or segment")
-        if not all(math.isfinite(v) for piece in pieces for v in piece):
-            raise ValueError("weights, locations and endpoints must be finite")
-        if any(w <= 0.0 for w in weights):
+        if any(w <= 0.0 for *_, w in pieces):
             raise ValueError("all weights must be positive")
-        total = math.fsum(weights)
+        total = math.fsum(w for *_, w in pieces)
         if abs(total - 1.0) > ATOL:
             raise ValueError(f"weights must sum to 1 within {ATOL}, got {total!r}")
         if pieces[0][0] < 0.0:
             raise ValueError("locations and segment endpoints must be nonnegative")
-        for _, lo, hi in segments:
-            if hi <= lo:
-                raise ValueError("segment must have hi > lo")
-        for (_, _, hi_prev), (_, lo_next, _) in zip(segments, segments[1:]):
-            if lo_next < hi_prev - ATOL:
-                raise ValueError("segments must be pairwise disjoint")
-        for _, t in atoms:
-            for _, lo, hi in segments:
-                if lo + ATOL < t < hi - ATOL:
-                    raise ValueError("atoms may not lie in the interior of a segment")
-        if not segments and len(atoms) == 1 and atoms[0][1] <= ATOL:
+        if len(pieces) == 1 and pieces[0][0] == pieces[0][1] <= ATOL:
             raise ValueError("the point mass at zero alone is not admissible")
-        object.__setattr__(self, "support", _merged_support(pieces))
+        # each piece is checked against the last segment before it: segments
+        # are disjoint up to ATOL, so no earlier one reaches more than ATOL
+        # into a later piece
+        seg_lo = seg_hi = -math.inf
+        merged: list[list[float]] = []
+        for lo, hi, _ in pieces:
+            if lo < hi:
+                if lo < seg_hi - ATOL:
+                    raise ValueError("segments must be pairwise disjoint")
+                seg_lo, seg_hi = lo, hi
+            elif seg_lo + ATOL < lo < seg_hi - ATOL:
+                raise ValueError("atoms may not lie in the interior of a segment")
+            # a piece within ATOL of the interval before it joins that interval
+            if merged and lo <= merged[-1][1] + ATOL:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "atoms", tuple((w, t) for t, hi, w in pieces if t == hi))
+        object.__setattr__(self, "segments",
+                           tuple((w, lo, hi) for lo, hi, w in pieces if lo < hi))
+        object.__setattr__(self, "support", SupportComponents(tuple(map(tuple, merged))))
+        object.__setattr__(self, "_hash", hash((self.atoms, self.segments)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def point_mass(cls, location: float) -> "MeasureSpec":
@@ -183,19 +204,6 @@ def support_of(m: MeasureSpec) -> SupportComponents:
     """Support of ``m`` as sorted disjoint closed intervals: ``m.support``,
     built once with the measure."""
     return m.support
-
-
-def _merged_support(pieces) -> SupportComponents:
-    """Sorted pieces as sorted disjoint closed intervals.  Atoms within
-    ``ATOL`` of a segment endpoint merge into that segment so the
-    components stay disjoint."""
-    merged: list[list[float]] = []
-    for lo, hi, _ in pieces:
-        if merged and lo <= merged[-1][1] + ATOL:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return SupportComponents(intervals=tuple((lo, hi) for lo, hi in merged))
 
 
 def g_nu_and_prime(m: MeasureSpec, z):

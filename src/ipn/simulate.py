@@ -65,15 +65,6 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 _ROW_MAJOR, _COL_MAJOR, _NO_TRANS, _LOWER = 101, 102, 111, 122
 
 
-def as_int(name: str, value) -> int:
-    """``value`` as an int; ValueError for a bool, which ``int`` would read
-    as 0 or 1, and for a non-integral or infinite float, which ``int``
-    would truncate or fail on."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """One reproducible Monte Carlo experiment."""
@@ -88,7 +79,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         for name in ("n", "N", "seed", "trials"):
-            object.__setattr__(self, name, as_int(name, getattr(self, name)))
+            object.__setattr__(self, name, measure.as_int(name, getattr(self, name)))
         if not 1 <= self.n <= self.N:
             raise ValueError(f"need 1 <= n <= N, got n={self.n}, N={self.N}")
         if self.entry_dist not in ENTRY_DISTS:

@@ -37,11 +37,8 @@ class SpikeSpec:
     multiplicities: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if any(isinstance(k, bool) or isinstance(k, float) and not k.is_integer()
-               for k in self.multiplicities):
-            raise DomainError("multiplicities must be positive integers")
+        mults = tuple(measure.as_int("multiplicity", k) for k in self.multiplicities)
         thetas = tuple(measure.as_real("theta", t) for t in self.thetas)
-        mults = tuple(int(k) for k in self.multiplicities)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "multiplicities", mults)
         if len(thetas) != len(mults):

@@ -17,7 +17,7 @@ open support, the nearest node's root to warm-start from inside.  Scalar
 and array ``cdf_mu`` and ``density`` read through it, ``quantile_mu``
 brackets its Newton run between two nodes (its first iterate, the secant
 point of that bracket, is the table's linear interpolation), ``solve_g``
-warms from it near the axis (``near``), and the Simpson mass of the density
+warms from it near the axis, and the Simpson mass of the density
 (``interval_masses``) stays an independent check.  An array read solves its
 interior points together by Newton sweeps over complex numpy arrays
 (``_read_interior``); a point a sweep does not settle falls back to
@@ -164,7 +164,7 @@ def solve_g(p: ModelParams, z: complex) -> GSolution:
     Finds u = omega(z) by ``_omega``: by Newton from the root of the CDF
     table node nearest Re z when Re z is strictly inside a support interval
     and Im z is at most the spacing of the two nodes around it (see
-    ``_CdfTable.near``), and otherwise, or when that run fails, by Newton
+    ``_CdfTable.locate``), and otherwise, or when that run fails, by Newton
     continuation down from z + i 2^m; off the support the table is not
     built.  Returns g = g_nu(u) / (1 + s^2 c g_nu(u)) at the root ``_omega``
     settles, with ``iterations`` its Newton steps.  Raises ConvergenceError
@@ -178,7 +178,7 @@ def solve_g(p: ModelParams, z: complex) -> GSolution:
     sup, warm = subordination.support(p), None
     at = sup.interval_index(z.real)
     if at is not None and sup.intervals[at][0] < z.real < sup.intervals[at][1]:
-        warm = _cdf_data(p).near(z.real, z.imag)
+        warm = _cdf_data(p).locate(z.real, z.imag)[2]
     u, steps = _omega(p, z, warm)
     g = _g_mu(p, u)
     r = abs(_fp_map(p, z, g) - g)
@@ -267,10 +267,12 @@ class _CdfTable:
     caps: np.ndarray
     ends: np.ndarray
 
-    def locate(self, x):
+    def locate(self, x, y=0.0):
         """(plateau, inside, warm) at x, elementwise for an array x: the CDF
         at x unless x is strictly inside a support interval, whether it is,
-        and inside, the root at the node nearest to x to warm-start from."""
+        and inside, the root at the node nearest to x to warm-start from;
+        for a float x, None where y exceeds the spacing of the two nodes
+        around x, too far from the axis for that root."""
         xs = self.xs
         j = xs.searchsorted(x)  # xs[j-1] < x <= xs[j]
         if isinstance(x, np.ndarray):
@@ -280,19 +282,9 @@ class _CdfTable:
         j = int(j)  # Python scalars here: numpy's per-call overhead shows in point reads
         if not x < self.ends.item(j):
             return self.fs.item(j if j < len(xs) else -1), False, None
-        k = j - 1 if x - xs.item(j - 1) <= xs.item(j) - x else j
-        return self.fs.item(j), True, self.us.item(k)
-
-    def near(self, x: float, y: float) -> complex | None:
-        """For x strictly inside a support interval, the root at the node
-        nearest to x, as ``locate`` gives it; None where y exceeds the
-        spacing of the two nodes around x, too far from the axis for it."""
-        xs = self.xs
-        j = int(xs.searchsorted(x))
         a, b = xs.item(j - 1), xs.item(j)
-        if y > b - a:
-            return None
-        return self.us.item(j - 1 if x - a <= b - x else j)
+        warm = None if y > b - a else self.us.item(j - 1 if x - a <= b - x else j)
+        return self.fs.item(j), True, warm
 
 
 def _refine(f, a, b, fa, fm, fb, whole, tol, depth) -> float:

@@ -135,12 +135,14 @@ def test_nan_sigma_exits_one(monkeypatch, capsys):
     ("sim", "n", float("inf")), ("sim", "trials", 2.5),
     ("spikes", "multiplicities", [float("inf")]), ("sim", "n", 20.5),
     ("sim", "n", [20]), ("sim", "n", True), ("sim", "trials", True),
-    ("spikes", "multiplicities", [True])],
+    ("spikes", "multiplicities", [True]), ("sim", "n", "20"), ("sim", "trials", "2"),
+    ("spikes", "multiplicities", ["1"])],
     ids=["n", "trials", "mult", "n_fraction", "n_list", "n_bool", "trials_bool",
-         "mult_bool"])
+         "mult_bool", "n_string", "trials_string", "mult_string"])
 def test_non_integral_config_integer_exits_one(tmp_path, capsys, section,
                                                field, bad):
-    # a bool is no integer here, though int(True) is 1
+    # a bool or a string is no integer here, though int(True) is 1 and
+    # int("20") is 20
     data = read_json(small_config(tmp_path, spikes={"thetas": [4.0],
                                                     "multiplicities": [1]}))
     data[section][field] = bad

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -55,11 +56,31 @@ def test_locations_nonnegative():
 def test_segments_disjoint():
     with pytest.raises(ValueError):
         MeasureSpec(segments=((0.5, 1.0, 3.0), (0.5, 2.0, 4.0)))
+    # segments touching within ATOL are disjoint, and merge in the support
+    for lo in (3.0 - measure.ATOL / 2, 3.0, 3.0 + measure.ATOL / 2):
+        m = MeasureSpec(segments=((0.5, lo, 4.0), (0.5, 1.0, 3.0)))
+        assert m.support.intervals == ((1.0, 4.0),)
+    # a segment with hi == lo is rejected, never read as an atom
+    for segments in (((1.0, 2.0, 2.0),), ((0.5, 2.0, 2.0), (0.5, 3.0, 4.0))):
+        with pytest.raises(ValueError, match="hi > lo"):
+            MeasureSpec(segments=segments)
+    # two segments sharing a lower end pass only when one is narrower than
+    # ATOL, and then in either order
+    narrow, wide = (0.5, 2.0, 2.0 + 1e-13), (0.5, 2.0, 4.0)
+    for segments in ((narrow, wide), (wide, narrow)):
+        assert MeasureSpec(segments=segments).segments == (narrow, wide)
 
 
 def test_atom_not_interior_to_segment():
     with pytest.raises(ValueError):
         MeasureSpec(atoms=((0.5, 2.0),), segments=((0.5, 1.0, 3.0),))
+    # within ATOL of an end an atom is on it; 2 ATOL inside it is interior
+    for t in (1.0 + measure.ATOL / 2, 3.0 - measure.ATOL / 2):
+        m = MeasureSpec(atoms=((0.5, t),), segments=((0.5, 1.0, 3.0),))
+        assert m.support.intervals == ((1.0, 3.0),)
+    for t in (1.0 + 2 * measure.ATOL, 3.0 - 2 * measure.ATOL):
+        with pytest.raises(ValueError, match="interior"):
+            MeasureSpec(atoms=((0.5, t),), segments=((0.5, 1.0, 3.0),))
 
 
 def test_point_mass_at_zero_alone_rejected():
@@ -76,6 +97,16 @@ def test_json_round_trip():
         {"atoms": [{"w": 0.5, "t": 1.0}],
          "segments": [{"w": 0.5, "lo": 2.0, "hi": 4.0}]})
     assert parsed == m
+    # equal measures given in any order compare and hash equal, and a
+    # pickled copy, as the sampling workers get it, keeps the hash
+    a = MeasureSpec(atoms=((0.25, 5.0), (0.25, 1.0)),
+                    segments=((0.25, 6.0, 7.0), (0.25, 2.0, 4.0)))
+    b = MeasureSpec(atoms=((0.25, 1.0), (0.25, 5.0)),
+                    segments=((0.25, 2.0, 4.0), (0.25, 6.0, 7.0)))
+    assert a == b and hash(a) == hash(b)
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and hash(copy) == hash(a)
+    assert hash(MeasureSpec.from_dict(m.to_dict())) == hash(m)
 
 
 # ---------------------------------------------------------------------------

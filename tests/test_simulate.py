@@ -56,10 +56,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(n=2, N=4, model=MODEL_D1_C1,
                   spikes=SpikeSpec((4.0, 3.0, 2.0), (1, 1, 1)))
-    # integer fields are never truncated: non-integral or non-finite values fail
+    # integer fields are never truncated: non-integral or non-finite values
+    # fail, and so do strings that int would parse
     for field, bad in [("n", 20.7), ("N", 40.5), ("trials", 2.5), ("seed", 3.9),
                        ("n", math.inf), ("N", math.inf), ("trials", math.nan),
-                       ("seed", -math.inf)]:
+                       ("seed", -math.inf), ("n", "20"), ("seed", "7")]:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             SimConfig(**{"n": 20, "N": 40, "model": MODEL_D1_C1, field: bad})
     cfg = SimConfig(n=20.0, N=40.0, model=MODEL_D1_C1, seed=3.0, trials=2.0)

@@ -29,7 +29,7 @@ def test_spike_spec_validation():
         SpikeSpec(thetas=(4.0,), multiplicities=(0,))
     # a multiplicity is never truncated: non-integral or non-finite values fail
     for bad in (1.5, math.inf, math.nan):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="^multiplicity must be an integer"):
             SpikeSpec(thetas=(4.0,), multiplicities=(bad,))
     assert SpikeSpec((4.0,), (2.0,)).multiplicities == (2,)
     assert SpikeSpec().r == 0
