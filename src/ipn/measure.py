@@ -68,7 +68,7 @@ class MeasureSpec:
     rejected (the theory degenerates there).  ``pieces``, each atom and
     segment as (lo, hi, w) in sorted order, lo == hi for an atom, is built
     once; ``atoms``, ``segments`` and ``support``, supp(m) (see
-    ``support_of``), are read off it, and the hash is computed once.
+    ``support_of``), are read off it.
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
@@ -76,7 +76,6 @@ class MeasureSpec:
     support: SupportComponents = field(init=False, repr=False, compare=False)
     pieces: tuple[tuple[float, float, float], ...] = field(
         init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         atoms = [(as_real("w", w), as_real("t", t)) for w, t in self.atoms]
@@ -121,10 +120,6 @@ class MeasureSpec:
         object.__setattr__(self, "segments",
                            tuple((w, lo, hi) for lo, hi, w in pieces if lo < hi))
         object.__setattr__(self, "support", SupportComponents(tuple(map(tuple, merged))))
-        object.__setattr__(self, "_hash", hash((self.atoms, self.segments)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def point_mass(cls, location: float) -> "MeasureSpec":

@@ -177,8 +177,9 @@ def solve_g(p: ModelParams, z: complex) -> GSolution:
         raise DomainError(f"solve_g requires a finite z with Im z > 0, got {z!r}")
     sup, warm = subordination.support(p), None
     at = sup.interval_index(z.real)
+    # this test, not locate's own, keeps the table unbuilt off the support
     if at is not None and sup.intervals[at][0] < z.real < sup.intervals[at][1]:
-        warm = _cdf_data(p).locate(z.real, z.imag)[2]
+        warm = _cdf_data(p).locate(z.real, y=z.imag)[2]
     u, steps = _omega(p, z, warm)
     g = _g_mu(p, u)
     r = abs(_fp_map(p, z, g) - g)
@@ -267,15 +268,18 @@ class _CdfTable:
     caps: np.ndarray
     ends: np.ndarray
 
-    def locate(self, x, y=0.0):
+    def locate(self, x, *, y: float = 0.0):
         """(plateau, inside, warm) at x, elementwise for an array x: the CDF
         at x unless x is strictly inside a support interval, whether it is,
-        and inside, the root at the node nearest to x to warm-start from;
-        for a float x, None where y exceeds the spacing of the two nodes
-        around x, too far from the axis for that root."""
+        and inside, the root at the node nearest to x to warm-start from.
+        ``y`` is read for a float x only (an array x with y != 0 is a
+        ValueError): warm is None where y exceeds the spacing of the two
+        nodes around x, too far from the axis for that root."""
         xs = self.xs
         j = xs.searchsorted(x)  # xs[j-1] < x <= xs[j]
         if isinstance(x, np.ndarray):
+            if y:
+                raise ValueError("locate reads y for a float x only")
             i = np.clip(j, 1, len(xs) - 1)
             k = np.where(x - xs[i - 1] <= xs[i] - x, i - 1, i)
             return self.fs[np.minimum(j, len(xs) - 1)], x < self.ends[j], self.us[k]

@@ -190,6 +190,15 @@ def test_solve_g_far_from_the_axis_runs_the_continuation(monkeypatch):
     assert warms == [None, None]
 
 
+def test_locate_reads_y_for_a_float_only():
+    table = stieltjes._cdf_data(MODEL_SPLIT)
+    (lo, hi), _ = subordination.support(MODEL_SPLIT).intervals
+    x = 0.5 * (lo + hi)
+    assert table.locate(x, y=hi - lo)[2] is None
+    with pytest.raises(ValueError, match="float x only"):
+        table.locate(np.array([x]), y=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # density
 # ---------------------------------------------------------------------------
