@@ -419,14 +419,20 @@ def verify_all(sim: SimConfig, gap: tuple[float, float] | None,
     """Run the consolidated verification suite on one experiment.
 
     Analytic checks (inverse pair, subordination chain, mass equality) come
-    first; the experiment is then sampled once and the separation, outlier
-    and KS checks read those samples.  Without a gap, the middle window of
-    the widest inner piece of ``separation_gaps`` (a gap between two support
-    intervals, cut at the outlier limits) is used, and separation is skipped
-    when the support is one interval.  ``checks`` overrides entries of
-    ``DEFAULT_CHECKS``; other names, and values that are not real numbers
-    (bools, NaN), raise ValueError first.  ``all_pass`` is false when any
-    check fails.
+    first.  The chain row's solve at x + 1e-9i starts from omega(x), the
+    root the inverse pair row reads, and the row still fails if omega
+    returns a wrong real root of phi(u) = x.  Off the admissible set such a
+    root has phi' < 0, where the start lies below the axis, or a < 0, where
+    the g of its start fails ``solve_g``'s checks (measured, not proven);
+    either way the solve falls back to the continuation, and the
+    fixed-point residual that accepts g does not use omega.  The experiment is then sampled once and
+    the separation, outlier and KS checks read those samples.  Without a
+    gap, the middle window of the widest inner piece of ``separation_gaps``
+    (a gap between two support intervals, cut at the outlier limits) is
+    used, and separation is skipped when the support is one interval.
+    ``checks`` overrides entries of ``DEFAULT_CHECKS``; other names, and
+    values that are not real numbers (bools, NaN), raise ValueError first.
+    ``all_pass`` is false when any check fails.
     """
     bad = {k: v for k, v in checks.items() if k not in DEFAULT_CHECKS
            or isinstance(v, bool) or not isinstance(v, (int, float)) or math.isnan(v)}

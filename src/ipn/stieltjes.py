@@ -3,13 +3,15 @@
 The Stieltjes transform of the limit law is g = g_nu(u) / (1 + s^2 c g_nu(u))
 at u = omega(z), the root of phi(u) = z with Im u > 0; g is also the fixed
 point of F(g) = (1 - s^2 c g) g_nu(z (1 - s^2 c g)^2 - s^2 (1-c)(1 - s^2 c g)).
-``solve_g`` finds u by Newton on ``phi``: from the root of the nearest CDF
-table node when Re z is strictly inside a support interval and Im z is at
-most the spacing of the nodes around it, else continued down from
-z + i 2^m.  The same solve at a real x inside the open support gives the
-density -Im g / pi without extrapolation; off the open support it is
-exactly zero.  The CDF has a closed form at the same root (``_cdf_at``),
-which on a gap reduces to the mass correspondence
+``solve_g`` finds u by Newton on ``phi`` from one of three starts: the root
+of the nearest CDF table node when Re z is strictly inside a support
+interval and Im z is at most the spacing of the nodes around it; when Re z
+lies off the support, omega(Re z) + i Im z / phi'(omega(Re z)), the first
+order of omega about the real axis; else, or when that run fails, the
+continuation down from z + i 2^m.  The same solve at a real x inside the
+open support gives the density -Im g / pi without extrapolation; off the
+open support it is exactly zero.  The CDF has a closed form at the same
+root (``_cdf_at``), which on a gap reduces to the mass correspondence
 mu((-inf, x]) = nu((-inf, omega(x)]).  One table per model holds adaptive
 Simpson nodes over every support interval with their roots and exact CDF
 values, and one ``locate`` finds a point in it: the CDF plateau off the
@@ -28,6 +30,7 @@ subordination identity at a root already solved.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -158,16 +161,34 @@ def _omega(p: ModelParams, z: complex, warm: complex | None = None
     return u, steps
 
 
+def _newton_off_support(p: ModelParams, z: complex) -> tuple[complex | None, int]:
+    """Newton on phi(u) = z, for Re z = x off the support, from the
+    first-order expansion of omega about the real axis, u0 = omega(x) +
+    i Im z / phi'(omega(x)): the root and the steps taken, with None for the
+    root when phi'(omega(x)) <= 0 or the run fails as ``_newton`` says.  On
+    a gap phi is real and increasing at omega(x), so the root next to the
+    axis is omega's branch and no _AXIS_GUARD applies."""
+    u0 = subordination.omega(p, z.real)
+    slope = subordination.phi_prime(p, u0)
+    if not slope > 0.0:
+        return None, 0
+    return _newton(p, z, complex(u0, z.imag / slope))
+
+
 def solve_g(p: ModelParams, z: complex) -> GSolution:
     """Solve for the transform g at z in the upper half plane.
 
-    Finds u = omega(z) by ``_omega``: by Newton from the root of the CDF
-    table node nearest Re z when Re z is strictly inside a support interval
-    and Im z is at most the spacing of the two nodes around it (see
-    ``_CdfTable.locate``), and otherwise, or when that run fails, by Newton
-    continuation down from z + i 2^m; off the support the table is not
-    built.  Returns g = g_nu(u) / (1 + s^2 c g_nu(u)) at the root ``_omega``
-    settles, with ``iterations`` its Newton steps.  Raises ConvergenceError
+    Finds u = omega(z) by Newton on phi(u) = z from one of three starts:
+    - Re z strictly inside a support interval: the root of the CDF table
+      node nearest Re z, when Im z is at most the spacing of the two nodes
+      around it (see ``_CdfTable.locate``), by ``_omega``;
+    - Re z off the support: omega(Re z) + i Im z / phi'(omega(Re z)), by
+      ``_newton_off_support``; the table is not built;
+    - otherwise (an edge, or Im z above the node spacing), or when the run
+      from the first two starts fails or its g fails the checks below: the
+      continuation of ``_omega`` down from z + i 2^m.
+    Returns g = g_nu(u) / (1 + s^2 c g_nu(u)) at the root, with
+    ``iterations`` the Newton steps of every run.  Raises ConvergenceError
     unless |F(g) - g| <= RESIDUAL_TOL max(1, |g|) (the rounding floor grows
     with |g|) and g satisfies the half-plane sign constraints Im g < 0 and
     Im(z g) <= 0.
@@ -175,12 +196,22 @@ def solve_g(p: ModelParams, z: complex) -> GSolution:
     z = complex(z)
     if not (z.imag > 0.0 and cmath.isfinite(z)):
         raise DomainError(f"solve_g requires a finite z with Im z > 0, got {z!r}")
-    sup, warm = subordination.support(p), None
+    sup, warm, steps = subordination.support(p), None, 0
     at = sup.interval_index(z.real)
-    # this test, not locate's own, keeps the table unbuilt off the support
-    if at is not None and sup.intervals[at][0] < z.real < sup.intervals[at][1]:
+    if at is None:  # a gap: the table is not built, and the axis guard does not apply
+        u, steps = _newton_off_support(p, z)
+        if u is not None:
+            with contextlib.suppress(ConvergenceError):  # the continuation's turn
+                return _accepted(p, z, u, steps)
+    elif sup.intervals[at][0] < z.real < sup.intervals[at][1]:
         warm = _cdf_data(p).locate(z.real, y=z.imag)[2]
-    u, steps = _omega(p, z, warm)
+    u, k = _omega(p, z, warm)
+    return _accepted(p, z, u, steps + k)
+
+
+def _accepted(p: ModelParams, z: complex, u: complex, steps: int) -> GSolution:
+    """The solution g = g_mu(u) at z, taken in ``steps`` Newton steps; raises
+    ConvergenceError where ``solve_g`` says."""
     g = _g_mu(p, u)
     r = abs(_fp_map(p, z, g) - g)
     if not (r <= RESIDUAL_TOL * max(1.0, abs(g)) and g.imag < 0.0):

@@ -68,6 +68,16 @@ def measures(draw, widths=st.floats(0.2, 0.7)):
         return MeasureSpec(atoms=((1.0, 1.0 + draw(st.floats(0.0, 1.0))),))
 
 
+@st.composite
+def atomic_measures(draw):
+    """One to three atoms in separate slots, as ``measures`` places them."""
+    k = draw(st.integers(1, 3))
+    slots = draw(st.permutations(range(8)))[:k]
+    weights = [draw(st.floats(0.1, 1.0)) for _ in range(k)]
+    return MeasureSpec(atoms=tuple((w / sum(weights), 1.25 * s + draw(st.floats(0.01, 0.5)))
+                                   for w, s in zip(weights, slots)))
+
+
 def narrow_measures():
     """``measures`` with segment widths log-uniform from 1e-4 to 0.7: next to
     a narrow segment g_nu' is large and phi' steep."""
@@ -78,6 +88,62 @@ def ratios():
     """c as 1 or 1 - 1e-12, where phi' is 0 or nearly so at the g-threshold
     crossing, in half the draws, else uniform on [0.05, 1]."""
     return st.one_of(st.sampled_from((1.0, 1.0 - 1e-12)), st.floats(0.05, 1.0))
+
+
+def _poly_mul(f, g):
+    """Product of two polynomials given by coefficients, lowest degree first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_add(*fs):
+    out = [0] * max(len(f) for f in fs)
+    for f in fs:
+        for i, a in enumerate(f):
+            out[i] += a
+    return out
+
+
+def _poly_diff(f):
+    return [i * a for i, a in enumerate(f)][1:]
+
+
+def atomic_polynomials(p: ModelParams):
+    """P, R, N and D for atomic nu = sum w_i delta_{t_i}, as mpmath
+    coefficients at the working precision, lowest degree first: with
+    P = prod (u - t_i) and Q = sum w_i prod_{j != i} (u - t_j), a = R/P for
+    R = P + s^2 c Q, phi = N/P^2 for N = u R^2 + s^2 (1-c) R P, and
+    phi' = D/P^3 for D = N'P - 2NP'."""
+    import mpmath
+
+    s2, c = mpmath.mpf(p.sigma) ** 2, mpmath.mpf(p.c)
+    P = [mpmath.mpf(1)]
+    for _, t in p.nu.atoms:
+        P = _poly_mul(P, [-mpmath.mpf(t), 1])
+    Q = [0]
+    for i, (w, _) in enumerate(p.nu.atoms):
+        term = [mpmath.mpf(w)]
+        for j, (_, t) in enumerate(p.nu.atoms):
+            if j != i:
+                term = _poly_mul(term, [-mpmath.mpf(t), 1])
+        Q = _poly_add(Q, term)
+    R = _poly_add(P, [s2 * c * q for q in Q])
+    N = _poly_add(_poly_mul([0, 1], _poly_mul(R, R)),
+                  [s2 * (1 - c) * v for v in _poly_mul(R, P)])
+    D = _poly_add(_poly_mul(_poly_diff(N), P),
+                  [-2 * v for v in _poly_mul(N, _poly_diff(P))])
+    return P, R, N, D
+
+
+def preimage_polynomial(p: ModelParams):
+    """z -> N - z P^2 (see ``atomic_polynomials``), the polynomial whose
+    roots are the u with phi(u) = z, for atomic nu at the working precision."""
+    P, _, N, _ = atomic_polynomials(p)
+    P2 = _poly_mul(P, P)
+    return lambda z: _poly_add(N, [-z * v for v in P2])
 
 
 @pytest.fixture(scope="session")

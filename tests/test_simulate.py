@@ -10,13 +10,13 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from ipn import simulate, spikes, subordination
+from ipn import measure, simulate, spikes, subordination
 from ipn.errors import DomainError, PreconditionError
 from ipn.simulate import SimConfig
 from ipn.spikes import SpikeSpec
 
-from conftest import (MODEL_D1_C1, MODEL_D2_C1, MODEL_MERGED, MODEL_SPLIT,
-                      die_in_worker)
+from conftest import (MODEL_D1_C1, MODEL_D2_C1, MODEL_D2_HALF, MODEL_MERGED, MODEL_SPLIT,
+                      die_in_worker, preimage_polynomial)
 
 
 def inclusion_passes(cfg, epsilon, samples) -> list[bool]:
@@ -334,6 +334,33 @@ def test_verify_all_default_gap_avoids_an_inner_outlier():
     assert row["case"] == spikes.OUTLIER
     assert not a <= row["limit"] <= b
     assert sup.intervals[0][1] < a < b < sup.intervals[1][0]
+
+
+@pytest.mark.parametrize("wrong_sign", ["a", "phi'"])
+def test_verify_all_chain_row_fails_on_a_wrong_real_root_of_phi(wrong_sign, monkeypatch):
+    # the chain row's solve starts from omega(x).  A real root of phi(u) = x
+    # off the admissible set has a < 0 (the start's g fails solve_g's sign
+    # checks) or phi' < 0 (the start lies below the axis), so the solve falls
+    # back to the continuation and the row sees the wrong root; the inverse
+    # pair row, which only reads phi(u) = x, does not
+    p = MODEL_D2_HALF
+    s2c = p.sigma ** 2 * p.c
+    omega = subordination.omega
+
+    def wrong(q, x):
+        for r in np.roots([float(v) for v in preimage_polynomial(q)(x)[::-1]]):
+            if abs(r.imag) < 1e-9:
+                a = 1.0 + s2c * measure.g_nu(q.nu, r.real)
+                slope = subordination.phi_prime(q, r.real)
+                if (a if wrong_sign == "a" else slope) < 0.0 < (slope if wrong_sign == "a" else a):
+                    return r.real
+        return omega(q, x)
+    monkeypatch.setattr(subordination, "omega", wrong)
+    cfg = SimConfig(n=20, N=40, model=p, seed=3, trials=2)
+    rows = {c["name"]: c for c in simulate.verify_all(cfg, None, {})["checks"]}
+    assert rows["inverse_pair"]["status"] == "pass"
+    assert rows["subordination_chain"]["status"] == "fail"
+    assert rows["subordination_chain"]["max_chain_residual"] > 0.1
 
 
 # Inclusion: no eigenvalue farther than epsilon from the support and the

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ipn import cli, measure, simulate, stieltjes, subordination
 from ipn.errors import ConvergenceError, DomainError
@@ -14,7 +15,8 @@ from ipn.simulate import SimConfig
 from ipn.subordination import ModelParams
 
 from conftest import (ALL_MODELS, DELTA1, MODEL_D1_C1, MODEL_D2_HALF, MODEL_SPLIT,
-                      MODEL_UNIFORM, h_residual, off_support_grid)
+                      MODEL_UNIFORM, atomic_measures, atomic_polynomials, h_residual,
+                      off_support_grid, preimage_polynomial)
 
 
 EPS = np.finfo(float).eps
@@ -175,19 +177,114 @@ def test_solve_g_warm_from_the_table_matches_a_cold_solve(p, monkeypatch):
 
 
 def test_solve_g_far_from_the_axis_runs_the_continuation(monkeypatch):
-    # an Im z above the node spacing gets no warm root, and a point off the
-    # support neither a warm root nor a table
+    # inside the support, an Im z above the node spacing gets no warm root
     stieltjes.interval_masses(MODEL_SPLIT)
     warms = spy_on_warm(monkeypatch)
     (lo, hi), _ = subordination.support(MODEL_SPLIT).intervals
     sol = stieltjes.solve_g(MODEL_SPLIT, complex(0.5 * (lo + hi), hi - lo))
     assert warms == [None] and sol.residual <= 1e-12
-    p = ModelParams(sigma=1.0, c=0.5, nu=MeasureSpec.point_mass(3.0))
+
+
+@pytest.mark.parametrize("p", ALL_MODELS)
+def test_solve_g_off_the_support_starts_from_omega(p, monkeypatch):
+    # off the support Newton starts at omega(x) + i y / phi'(omega(x)): one
+    # step at y = 1e-9, no continuation, no table, and the continuation's
+    # value; on an edge, which is not off the support, the continuation runs
+    cold = stieltjes._omega
+    sup = subordination.support(p)
+    warms = spy_on_warm(monkeypatch)
     monkeypatch.setattr(stieltjes, "_cdf_data", None)  # calling it fails
-    warms.clear()
-    for x in (-1.0, subordination.support(p).max):
-        stieltjes.solve_g(p, complex(x, 1e-9))
-    assert warms == [None, None]
+    for x in off_support_grid(sup):
+        z = complex(x, 1e-9)
+        sol = stieltjes.solve_g(p, z)
+        assert sol.iterations == 1 and warms == [], (x, sol)
+        want = stieltjes._g_mu(p, cold(p, z)[0])
+        assert abs(sol.g - want) <= 1e-12 * abs(want), x
+    stieltjes.solve_g(p, complex(sup.max, 1e-9))
+    assert warms == [None]
+
+
+@pytest.mark.parametrize("slope", [0.0, -1.0])
+def test_solve_g_falls_back_to_the_continuation_where_phi_prime_is_not_positive(
+        slope, monkeypatch):
+    (_, a), (b, _) = subordination.support(MODEL_SPLIT).intervals
+    z = complex(0.5 * (a + b), 1e-9)
+    fast = stieltjes.solve_g(MODEL_SPLIT, z)
+    warms = spy_on_warm(monkeypatch)
+    monkeypatch.setattr(subordination, "phi_prime", lambda p, u: slope)
+    sol = stieltjes.solve_g(MODEL_SPLIT, z)
+    assert warms == [None] and sol.iterations > 1
+    assert abs(sol.g - fast.g) <= 1e-12 * abs(fast.g)
+
+
+def test_solve_g_falls_back_to_the_continuation_when_the_start_fails_its_checks(
+        monkeypatch):
+    # a settled root whose g fails the acceptance checks is not the answer;
+    # the continuation's steps are counted after its own
+    z = complex(20.0, 1e-9)
+    fast = stieltjes.solve_g(MODEL_SPLIT, z)
+    warms = spy_on_warm(monkeypatch)
+    monkeypatch.setattr(stieltjes, "_newton_off_support", lambda p, w: (w + 1j, 3))
+    sol = stieltjes.solve_g(MODEL_SPLIT, z)
+    assert warms == [None] and sol.iterations > 3
+    assert abs(sol.g - fast.g) <= 1e-12 * abs(fast.g)
+
+
+def upper_roots(f) -> list:
+    """The roots u with Im u > 0 of the polynomial f (mpmath coefficients,
+    lowest degree first, real or complex): ``np.roots``' double-precision
+    roots, each refined by Newton at the working precision."""
+    import mpmath
+
+    f, tol = f[::-1], mpmath.mpf(10) ** (10 - mpmath.mp.dps)
+    roots = []
+    for u in np.roots([complex(v) for v in f]):
+        u = mpmath.mpc(u)
+        for _ in range(200):
+            value, slope = mpmath.polyval(f, u, derivative=True)
+            u -= value / slope
+            if abs(value / slope) <= tol * abs(u):
+                break
+        else:
+            raise AssertionError(f"Newton on the polynomial did not settle at {u}")
+        roots.append(u)
+    return [u for u in roots if u.imag > mpmath.mpf(10) ** (20 - mpmath.mp.dps)]
+
+
+def transform_at_root(p: ModelParams):
+    """u -> g = g_nu(u) / a(u) = Q(u) / R(u) = (1 - P(u) / R(u)) / (s^2 c) at
+    a root u of N - z P^2, for atomic nu (see ``atomic_polynomials``)."""
+    import mpmath
+
+    P, R = (f[::-1] for f in atomic_polynomials(p)[:2])
+    s2c = mpmath.mpf(p.sigma) ** 2 * mpmath.mpf(p.c)
+    return lambda u: (1 - mpmath.polyval(P, u) / mpmath.polyval(R, u)) / s2c
+
+
+@given(atomic_measures(), st.floats(1e-3, 3.0), st.floats(0.05, 0.99))
+# three clusters of roots about 1e-6 wide, one at each atom
+@example(MeasureSpec(atoms=((1 / 3, 0.5), (1 / 3, 1.75), (1 / 3, 3.0))), 2.0 ** -9, 0.0625)
+@settings(max_examples=20, deadline=None)
+def test_solve_g_off_the_support_against_the_polynomial_oracle(nu, sigma, c):
+    # at z = x + iy off the support, N - z P^2 has two to four roots with
+    # Im u > 0; omega(z) is the one that tends to the admissible real root
+    # omega(x) (held at 60 digits by test_omega_against_the_polynomial_oracle)
+    # as y -> 0.  g there matches to 1e-12, and at y = 1e-9 one Newton step
+    # from omega(x) settles it
+    import mpmath
+
+    p = ModelParams(sigma=sigma, c=c, nu=nu)
+    with mpmath.workdps(60):
+        poly, g_at = preimage_polynomial(p), transform_at_root(p)
+        for x in off_support_grid(subordination.support(p), per_gap=4):
+            near = subordination.omega(p, x)
+            for y in (1e-9, 1e-6, 1e-3):
+                z = complex(x, y)
+                roots = upper_roots(poly(mpmath.mpc(z)))
+                want = complex(g_at(min(roots, key=lambda u: abs(u - near))))
+                sol = stieltjes.solve_g(p, z)
+                assert abs(sol.g - want) <= 1e-12 * abs(want), (z, sol, want)
+                assert y > 1e-9 or sol.iterations == 1, (z, sol)
 
 
 def test_locate_reads_y_for_a_float_only():
@@ -297,6 +394,36 @@ def test_density_matches_cubic_oracle_near_both_edges():
             ref = float(max(-mpmath.im(r) for r in roots) / mpmath.pi)
             f = stieltjes.density(MODEL_D1_C1, [x]).fs[0]
             assert f == pytest.approx(ref, rel=1e-8), x
+
+
+@pytest.mark.parametrize("p", [m for m in ALL_MODELS if not m.nu.segments])
+def test_density_against_the_polynomial_oracle(p):
+    # inside the support omega(x + i0) is the one root of N - x P^2 with
+    # Im u > 0, and the density is -Im g(u) / pi.  Points: the interior of
+    # ``ipn density``'s default 400-point grid, and x = e (1 -+ delta) inside
+    # each soft edge e.  Next to a soft edge the solve loses digits as about
+    # eps / delta (ROADMAP, "Soft support edges"); the bound is
+    # max(1e-12, 2 eps / delta) for delta the relative distance from the
+    # nearest edge, infinite for the hard edge at zero
+    import mpmath
+
+    sup = subordination.support(p)
+    edges = [e for iv in sup.intervals for e in iv]
+    xs = [float(x) for x in np.linspace(edges[0], edges[-1], 400)
+          if any(a < x < b for a, b in sup.intervals)]
+    for a, b in sup.intervals:
+        for delta in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+            xs += [b * (1.0 - delta)] + ([a * (1.0 + delta)] if a else [])
+    xs.sort()
+    with mpmath.workdps(60):
+        poly, g_at = preimage_polynomial(p), transform_at_root(p)
+        for x, f in zip(xs, stieltjes.density(p, xs).fs):
+            roots = upper_roots(poly(mpmath.mpf(x)))
+            assert len(roots) == 1, (x, roots)
+            want = float(-g_at(roots[0]).imag / mpmath.pi)
+            e = min(edges, key=lambda e: abs(x - e))
+            delta = abs(x - e) / abs(e) if e else math.inf
+            assert abs(f - want) <= max(1e-12, 2.0 * EPS / delta) * want, (x, f, want)
 
 
 def test_interval_mass_at_the_hard_edge():

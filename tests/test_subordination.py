@@ -15,7 +15,8 @@ from ipn.subordination import ModelParams
 
 from conftest import (ALL_MODELS, DELTA1, DELTA2, FIVE_MODELS, MODEL_D1_C1, MODEL_D2_C1,
                       MODEL_D2_HALF, MODEL_MIXED, MODEL_SPLIT, NEAR_MERGE_SIGMA, TWO_ATOMS,
-                      k_transform, measures, narrow_measures, off_support_grid, ratios)
+                      atomic_measures, atomic_polynomials, k_transform, measures,
+                      narrow_measures, off_support_grid, preimage_polynomial, ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -457,51 +458,6 @@ def test_support_within_norm_bound_on_random_measures(nu, sigma, c):
     check_norm_bound(ModelParams(sigma=sigma, c=c, nu=nu))
 
 
-def _poly_mul(f, g):
-    """Product of two polynomials given by coefficients, lowest degree first."""
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return out
-
-
-def _poly_add(*fs):
-    out = [0] * max(len(f) for f in fs)
-    for f in fs:
-        for i, a in enumerate(f):
-            out[i] += a
-    return out
-
-
-def _poly_diff(f):
-    return [i * a for i, a in enumerate(f)][1:]
-
-
-def _atomic_polynomials(p: ModelParams):
-    """P, R, N and D of ``atomic_support_oracle`` for atomic nu, as mpmath
-    coefficients at the working precision, lowest degree first."""
-    import mpmath
-
-    s2, c = mpmath.mpf(p.sigma) ** 2, mpmath.mpf(p.c)
-    P = [mpmath.mpf(1)]
-    for _, t in p.nu.atoms:
-        P = _poly_mul(P, [-mpmath.mpf(t), 1])
-    Q = [0]
-    for i, (w, _) in enumerate(p.nu.atoms):
-        term = [mpmath.mpf(w)]
-        for j, (_, t) in enumerate(p.nu.atoms):
-            if j != i:
-                term = _poly_mul(term, [-mpmath.mpf(t), 1])
-        Q = _poly_add(Q, term)
-    R = _poly_add(P, [s2 * c * q for q in Q])
-    N = _poly_add(_poly_mul([0, 1], _poly_mul(R, R)),
-                  [s2 * (1 - c) * v for v in _poly_mul(R, P)])
-    D = _poly_add(_poly_mul(_poly_diff(N), P),
-                  [-2 * v for v in _poly_mul(N, _poly_diff(P))])
-    return P, R, N, D
-
-
 def _at(f, x):
     import mpmath
 
@@ -528,7 +484,7 @@ def atomic_support_oracle(p: ModelParams, dps: int = 60):
     import mpmath
 
     with mpmath.workdps(dps):
-        P, R, N, D = _atomic_polynomials(p)
+        P, R, N, D = atomic_polynomials(p)
         bounds = [x for x in _real_roots(D, dps) if _at(R, x) * _at(P, x) > 0]
         edges = [float(_at(N, x) / _at(P, x) ** 2) for x in bounds]
         bounds = [float(x) for x in bounds]
@@ -543,20 +499,10 @@ def atomic_omega_oracle(p: ModelParams, x: float, dps: int = 60) -> list[float]:
     import mpmath
 
     with mpmath.workdps(dps):
-        P, R, N, D = _atomic_polynomials(p)
-        F = _poly_add(N, [-mpmath.mpf(x) * v for v in _poly_mul(P, P)])
+        P, R, _, D = atomic_polynomials(p)
+        F = preimage_polynomial(p)(mpmath.mpf(x))
         return [float(u) for u in _real_roots(F, dps)
                 if _at(R, u) * _at(P, u) > 0 and _at(D, u) * _at(P, u) > 0]
-
-
-@st.composite
-def atomic_measures(draw):
-    """One to three atoms in separate slots, as ``measures`` places them."""
-    k = draw(st.integers(1, 3))
-    slots = draw(st.permutations(range(8)))[:k]
-    weights = [draw(st.floats(0.1, 1.0)) for _ in range(k)]
-    return MeasureSpec(atoms=tuple((w / sum(weights), 1.25 * s + draw(st.floats(0.01, 0.5)))
-                                   for w, s in zip(weights, slots)))
 
 
 @given(atomic_measures(), st.floats(1e-3, 3.0), st.floats(0.05, 0.99))
@@ -624,7 +570,7 @@ def test_g_threshold_crossing_against_the_roots_of_r(nu, sigma, c):
 
     p = ModelParams(sigma=sigma, c=c, nu=nu)
     with mpmath.workdps(60):
-        roots = [float(r) for r in _real_roots(_atomic_polynomials(p)[1], 60)]
+        roots = [float(r) for r in _real_roots(atomic_polynomials(p)[1], 60)]
     gaps = [gap for gap in measure.support_of(nu).gaps() if not math.isinf(gap[1])]
     assert len(roots) == len(gaps)
     for gap, r in zip(gaps, roots):
