@@ -431,14 +431,15 @@ def verify_all(sim: SimConfig, gap: tuple[float, float] | None,
     (a gap between two support intervals, cut at the outlier limits) is
     used, and separation is skipped when the support is one interval.
     ``checks`` overrides entries of ``DEFAULT_CHECKS``; other names, and
-    values that are not real numbers (bools, NaN), raise ValueError first.
+    values that are not finite real numbers (bools, NaN, infinities), raise
+    ValueError first.
     ``all_pass`` is false when any check fails.
     """
     bad = {k: v for k, v in checks.items() if k not in DEFAULT_CHECKS
-           or isinstance(v, bool) or not isinstance(v, (int, float)) or math.isnan(v)}
+           or isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)}
     if bad:
         raise ValueError(f"checks {bad} need names in {sorted(DEFAULT_CHECKS)} "
-                         "and real-number values (not bool or NaN)")
+                         "and finite real-number values (not bool, NaN or infinity)")
     model = sim.model
     checks_cfg = {**DEFAULT_CHECKS, **checks}
     results: list[dict] = []

@@ -3,23 +3,23 @@
 The Stieltjes transform of the limit law is g = g_nu(u) / (1 + s^2 c g_nu(u))
 at u = omega(z), the root of phi(u) = z with Im u > 0; g is also the fixed
 point of F(g) = (1 - s^2 c g) g_nu(z (1 - s^2 c g)^2 - s^2 (1-c)(1 - s^2 c g)).
-``solve_g`` finds u by Newton on ``phi`` from one of three starts: the root
-of the nearest CDF table node when Re z is strictly inside a support
-interval and Im z is at most the spacing of the nodes around it; when Re z
-lies off the support, omega(Re z) + i Im z / phi'(omega(Re z)), the first
-order of omega about the real axis; else, or when that run fails, the
-continuation down from z + i 2^m.  The same solve at a real x inside the
-open support gives the density -Im g / pi without extrapolation; off the
-open support it is exactly zero.  The CDF has a closed form at the same
+``solve_g`` finds u by one Newton run on ``phi`` from a start next to the
+root: when Re z lies off the support, omega(Re z) + i Im z /
+phi'(omega(Re z)), the first order of omega about the real axis; when it is
+strictly inside a support interval, the root of the nearest CDF table node.
+On an edge, or when that run fails, the continuation down from z + i 2^m
+runs once.  The same solve at a real x inside the open support gives the
+density -Im g / pi without extrapolation; off the open support it is
+exactly zero.  The CDF has a closed form at the same
 root (``_cdf_at``), which on a gap reduces to the mass correspondence
 mu((-inf, x]) = nu((-inf, omega(x)]).  One table per model holds adaptive
 Simpson nodes over every support interval with their roots and exact CDF
 values, and one ``locate`` finds a point in it: the CDF plateau off the
-open support, the nearest node's root to warm-start from inside.  Scalar
+open support, the nearest node's root to start Newton from inside.  Scalar
 and array ``cdf_mu`` and ``density`` read through it, ``quantile_mu``
 brackets its Newton run between two nodes (its first iterate, the secant
 point of that bracket, is the table's linear interpolation), ``solve_g``
-warms from it near the axis, and the Simpson mass of the density
+starts from it inside the support, and the Simpson mass of the density
 (``interval_masses``) stays an independent check.  An array read solves its
 interior points together by Newton sweeps over complex numpy arrays
 (``_read_interior``); a point a sweep does not settle falls back to
@@ -30,7 +30,6 @@ subordination identity at a root already solved.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -130,11 +129,13 @@ def _newton(p: ModelParams, z: complex, u: complex, tol: float = _STEP_TOL
 def _omega(p: ModelParams, z: complex, warm: complex | None = None
            ) -> tuple[complex, int]:
     """The root u of phi(u) = z with Im u > 0, for Im z >= 0, and the Newton
-    steps taken.  A warm root is kept unless it is within _AXIS_GUARD of the
-    real axis; otherwise Newton runs down the stages z + i 2^m, m = m_hi,
-    m_hi - 3, ... >= 0, and then z, each started from the root before and
-    solved to 1e-4 until the last.  A stage that fails is retried after one
-    halfway back to the last stage solved."""
+    steps taken.  A warm root, which the real-axis reads pass (``cdf_mu``,
+    ``quantile_mu``, the table build and ``_omega_array``'s fallback), is
+    kept unless it is within _AXIS_GUARD of the real axis; otherwise Newton
+    runs down the stages z + i 2^m, m = m_hi, m_hi - 3, ... >= 0, and then
+    z, each started from the root before and solved to 1e-4 until the last.
+    A stage that fails is retried after one halfway back to the last stage
+    solved."""
     steps = 0
     if warm is not None:
         u, steps = _newton(p, z, warm)
@@ -161,51 +162,42 @@ def _omega(p: ModelParams, z: complex, warm: complex | None = None
     return u, steps
 
 
-def _newton_off_support(p: ModelParams, z: complex) -> tuple[complex | None, int]:
-    """Newton on phi(u) = z, for Re z = x off the support, from the
-    first-order expansion of omega about the real axis, u0 = omega(x) +
-    i Im z / phi'(omega(x)): the root and the steps taken, with None for the
-    root when phi'(omega(x)) <= 0 or the run fails as ``_newton`` says.  On
-    a gap phi is real and increasing at omega(x), so the root next to the
-    axis is omega's branch and no _AXIS_GUARD applies."""
-    u0 = subordination.omega(p, z.real)
-    slope = subordination.phi_prime(p, u0)
-    if not slope > 0.0:
-        return None, 0
-    return _newton(p, z, complex(u0, z.imag / slope))
-
-
 def solve_g(p: ModelParams, z: complex) -> GSolution:
     """Solve for the transform g at z in the upper half plane.
 
-    Finds u = omega(z) by Newton on phi(u) = z from one of three starts:
-    - Re z strictly inside a support interval: the root of the CDF table
-      node nearest Re z, when Im z is at most the spacing of the two nodes
-      around it (see ``_CdfTable.locate``), by ``_omega``;
-    - Re z off the support: omega(Re z) + i Im z / phi'(omega(Re z)), by
-      ``_newton_off_support``; the table is not built;
-    - otherwise (an edge, or Im z above the node spacing), or when the run
-      from the first two starts fails or its g fails the checks below: the
-      continuation of ``_omega`` down from z + i 2^m.
-    Returns g = g_nu(u) / (1 + s^2 c g_nu(u)) at the root, with
-    ``iterations`` the Newton steps of every run.  Raises ConvergenceError
-    unless |F(g) - g| <= RESIDUAL_TOL max(1, |g|) (the rounding floor grows
-    with |g|) and g satisfies the half-plane sign constraints Im g < 0 and
-    Im(z g) <= 0.
+    Finds u = omega(z) by one Newton run on phi(u) = z from a start next to
+    the root, which depends on where x = Re z lies:
+    - off the support: omega(x) + i Im z / phi'(omega(x)), the first order
+      of omega about the real axis, when phi'(omega(x)) > 0; the table is
+      not built;
+    - strictly inside a support interval: the root of the CDF table node
+      nearest x (see ``_CdfTable.locate``), at any Im z;
+    - on an edge: no start.
+    Where there is no start, the run fails, or its g fails the checks below,
+    the continuation of ``_omega`` down from z + i 2^m runs once.  Returns
+    g = g_nu(u) / (1 + s^2 c g_nu(u)) at the root, with ``iterations`` the
+    Newton steps of both runs.  Raises ConvergenceError unless |F(g) - g| <=
+    RESIDUAL_TOL max(1, |g|) (the rounding floor grows with |g|) and g
+    satisfies the half-plane sign constraints Im g < 0 and Im(z g) <= 0.
     """
     z = complex(z)
     if not (z.imag > 0.0 and cmath.isfinite(z)):
         raise DomainError(f"solve_g requires a finite z with Im z > 0, got {z!r}")
-    sup, warm, steps = subordination.support(p), None, 0
-    at = sup.interval_index(z.real)
-    if at is None:  # a gap: the table is not built, and the axis guard does not apply
-        u, steps = _newton_off_support(p, z)
-        if u is not None:
-            with contextlib.suppress(ConvergenceError):  # the continuation's turn
-                return _accepted(p, z, u, steps)
+    sup = subordination.support(p)
+    at, u, steps = sup.interval_index(z.real), None, 0
+    if at is None:  # off the support phi is real and increasing at omega(x)
+        u0 = subordination.omega(p, z.real)
+        slope = subordination.phi_prime(p, u0)
+        if slope > 0.0:
+            u, steps = _newton(p, z, complex(u0, z.imag / slope))
     elif sup.intervals[at][0] < z.real < sup.intervals[at][1]:
-        warm = _cdf_data(p).locate(z.real, y=z.imag)[2]
-    u, k = _omega(p, z, warm)
+        u, steps = _newton(p, z, _cdf_data(p).locate(z.real)[2])
+    if u is not None:
+        try:
+            return _accepted(p, z, u, steps)
+        except ConvergenceError:
+            pass  # the continuation's turn
+    u, k = _omega(p, z)
     return _accepted(p, z, u, steps + k)
 
 
@@ -299,18 +291,13 @@ class _CdfTable:
     caps: np.ndarray
     ends: np.ndarray
 
-    def locate(self, x, *, y: float = 0.0):
+    def locate(self, x):
         """(plateau, inside, warm) at x, elementwise for an array x: the CDF
         at x unless x is strictly inside a support interval, whether it is,
-        and inside, the root at the node nearest to x to warm-start from.
-        ``y`` is read for a float x only (an array x with y != 0 is a
-        ValueError): warm is None where y exceeds the spacing of the two
-        nodes around x, too far from the axis for that root."""
+        and inside, the root at the node nearest to x to start Newton from."""
         xs = self.xs
         j = xs.searchsorted(x)  # xs[j-1] < x <= xs[j]
         if isinstance(x, np.ndarray):
-            if y:
-                raise ValueError("locate reads y for a float x only")
             i = np.clip(j, 1, len(xs) - 1)
             k = np.where(x - xs[i - 1] <= xs[i] - x, i - 1, i)
             return self.fs[np.minimum(j, len(xs) - 1)], x < self.ends[j], self.us[k]
@@ -318,8 +305,7 @@ class _CdfTable:
         if not x < self.ends.item(j):
             return self.fs.item(j if j < len(xs) else -1), False, None
         a, b = xs.item(j - 1), xs.item(j)
-        warm = None if y > b - a else self.us.item(j - 1 if x - a <= b - x else j)
-        return self.fs.item(j), True, warm
+        return self.fs.item(j), True, self.us.item(j - 1 if x - a <= b - x else j)
 
 
 def _refine(f, a, b, fa, fm, fb, whole, tol, depth) -> float:
@@ -496,9 +482,8 @@ def _h_residual(p: ModelParams, x: float, u: float, gm: complex) -> float:
     """Residual of the rectangular-convolution subordination identity at x
     outside the support, from u = omega(x) and g = g(x + 1e-9i) already
     solved: |c u g_nu(u)^2 + (1-c) g_nu(u) - (c x g^2 + (1-c) g)|.  It
-    vanishes on the model; the modulus is numerical error."""
-    if measure.support_of(p.nu).distance(u) <= measure.ATOL:
-        raise DomainError(f"omega({x!r}) landed on supp(nu)")
+    vanishes on the model; the modulus is numerical error.  A u on supp(nu)
+    raises DomainError from ``measure.g_nu``."""
     gn = measure.g_nu(p.nu, u)
     lhs = p.c * u * gn * gn + (1.0 - p.c) * gn
     rhs = p.c * x * gm * gm + (1.0 - p.c) * gm

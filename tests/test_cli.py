@@ -196,7 +196,8 @@ def test_separation_gap_of_two_numbers(tmp_path, monkeypatch, capsys, gap):
 
 @pytest.mark.parametrize("checks", [
     {"ks_treshold": 0.03}, {"ks_threshold": "0.03"}, {"ks_threshold": True},
-    {"mass_tolerance": float("nan")}], ids=["misspelt", "string", "bool", "nan"])
+    {"mass_tolerance": float("nan")}, {"ks_threshold": float("inf")}],
+    ids=["misspelt", "string", "bool", "nan", "inf"])
 def test_bad_checks_exit_one_before_sampling(tmp_path, monkeypatch, capsys,
                                              checks):
     calls = count_samples(monkeypatch)

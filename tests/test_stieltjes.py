@@ -16,7 +16,8 @@ from ipn.subordination import ModelParams
 
 from conftest import (ALL_MODELS, DELTA1, MODEL_D1_C1, MODEL_D2_HALF, MODEL_SPLIT,
                       MODEL_UNIFORM, atomic_measures, atomic_polynomials, h_residual,
-                      off_support_grid, preimage_polynomial)
+                      measures, narrow_measures, off_support_grid, preimage_polynomial,
+                      ratios)
 
 
 EPS = np.finfo(float).eps
@@ -49,19 +50,20 @@ def test_solve_g_near_real_axis_closed_form():
 
 def test_solve_g_accepts_the_rounding_floor_at_large_g(monkeypatch):
     # near the hard edge at sigma = 0.05, |g| is about 6e3 and the absolute
-    # fixed-point residual cannot go below about 1e-11; the root _omega
-    # settles is accepted as it is, with no further Newton steps
+    # fixed-point residual cannot go below about 1e-11; the root that the
+    # run from the table node settles is accepted as it is, with no further
+    # Newton steps
     p = ModelParams(sigma=0.05, c=1.0,
                     nu=MeasureSpec(atoms=((0.3, 0.0), (0.7, 3.0))))
     z, runs = complex(2.998e-6, 1e-9), []
-    omega = stieltjes._omega
+    newton = stieltjes._newton
 
-    def counted(q, w, *warm):
-        u, steps = omega(q, w, *warm)
+    def counted(q, w, u, *tol):
+        root, steps = newton(q, w, u, *tol)
         if w == z:  # not a table build's solve
             runs.append(steps)
-        return u, steps
-    monkeypatch.setattr(stieltjes, "_omega", counted)
+        return root, steps
+    monkeypatch.setattr(stieltjes, "_newton", counted)
     sol = stieltjes.solve_g(p, z)
     assert abs(sol.g) > 1e3 and sol.g.imag < 0.0
     assert 1e-12 < sol.residual <= 1e-12 * abs(sol.g)
@@ -147,15 +149,22 @@ def test_solve_g_just_inside_every_support_edge(p):
             assert -sol.g.imag / math.pi == pytest.approx(f, rel=1e-5)
 
 
-def spy_on_warm(monkeypatch) -> list:
-    """Record the warm root each ``_omega`` call of ``solve_g`` gets."""
-    warms, real = [], stieltjes._omega
+def spy_on_runs(monkeypatch, first=None) -> list:
+    """Record the start u of each Newton run in order, and None where the
+    continuation ``_omega`` begins; its stages' runs follow the None.  With
+    ``first``, the first run returns first(z) in 3 steps instead."""
+    runs, newton, omega = [], stieltjes._newton, stieltjes._omega
 
-    def spy(p, z, warm=None):
-        warms.append(warm)
-        return real(p, z, warm)
-    monkeypatch.setattr(stieltjes, "_omega", spy)
-    return warms
+    def run(p, z, u, *tol):
+        runs.append(u)
+        return (first(z), 3) if first and len(runs) == 1 else newton(p, z, u, *tol)
+
+    def continuation(p, z, *warm):
+        runs.append(None)
+        return omega(p, z, *warm)
+    monkeypatch.setattr(stieltjes, "_newton", run)
+    monkeypatch.setattr(stieltjes, "_omega", continuation)
+    return runs
 
 
 @pytest.mark.parametrize("p", ALL_MODELS)
@@ -163,26 +172,63 @@ def test_solve_g_warm_from_the_table_matches_a_cold_solve(p, monkeypatch):
     # near the axis inside the support solve_g starts next to its root: a
     # few Newton steps from the nearest table node, and the value of the
     # whole continuation
-    stieltjes.interval_masses(p)  # the table, built before the spy
-    warms = spy_on_warm(monkeypatch)
+    table = stieltjes._cdf_data(p)  # built before the spy
+    runs = spy_on_runs(monkeypatch)
     for lo, hi in subordination.support(p).intervals:
         for f in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
             for y in (1e-9, 1e-7):
                 z = complex(lo + f * (hi - lo), y)
-                warms.clear()
+                runs.clear()
                 sol = stieltjes.solve_g(p, z)
-                assert warms[0] is not None and sol.iterations <= 6, (z, sol)
+                assert runs == [table.locate(z.real)[2]], (z, runs)
+                assert sol.iterations <= 6, (z, sol)
                 cold = stieltjes._g_mu(p, stieltjes._omega(p, z)[0])
                 assert abs(sol.g - cold) <= 1e-12 * abs(cold)
 
 
-def test_solve_g_far_from_the_axis_runs_the_continuation(monkeypatch):
-    # inside the support, an Im z above the node spacing gets no warm root
-    stieltjes.interval_masses(MODEL_SPLIT)
-    warms = spy_on_warm(monkeypatch)
+@given(st.one_of(measures(), narrow_measures()), st.floats(1e-3, 3.0), ratios(),
+       st.floats(1e-6, 1.0 - 1e-6))
+@settings(max_examples=60, deadline=None)
+def test_solve_g_inside_the_support_matches_the_continuation(nu, sigma, c, f):
+    # from the nearest table node, at any Im z, the root agrees with the
+    # continuation's: both runs settle u to Newton's step tolerance 1e-12
+    # (1 + |u|), so g agrees to that times |dg/du| = |g_nu'(u)| / |a(u)|^2
+    # (2.6e-13 of it at worst over 1e5 such points).  Where the continuation
+    # fails the checks itself (residuals just over RESIDUAL_TOL at
+    # sigma = 1e-3) there is nothing to compare against
+    p = ModelParams(sigma=sigma, c=c, nu=nu)
+    for lo, hi in subordination.support(p).intervals:
+        x = lo + f * (hi - lo)
+        if not lo < x < hi:
+            continue
+        for y in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0):
+            z = complex(x, y)
+            try:
+                u, steps = stieltjes._omega(p, z)
+                want = stieltjes._accepted(p, z, u, steps).g
+            except ConvergenceError:
+                continue
+            gn, gp = measure.g_nu_and_prime(p.nu, u)
+            a = 1.0 + p.sigma ** 2 * p.c * gn
+            scale = max(abs(want), (1.0 + abs(u)) * abs(gp) / abs(a) ** 2)
+            sol = stieltjes.solve_g(p, z)
+            assert abs(sol.g - want) <= 1e-12 * scale, (z, sol, want, scale)
+
+
+def test_solve_g_far_from_the_axis_inside_the_support_starts_from_the_node(monkeypatch):
+    # inside the support an Im z above the node spacing starts from the
+    # nearest node too; on an edge there is no start and the continuation runs
+    table = stieltjes._cdf_data(MODEL_SPLIT)
+    runs = spy_on_runs(monkeypatch)
     (lo, hi), _ = subordination.support(MODEL_SPLIT).intervals
-    sol = stieltjes.solve_g(MODEL_SPLIT, complex(0.5 * (lo + hi), hi - lo))
-    assert warms == [None] and sol.residual <= 1e-12
+    z = complex(0.5 * (lo + hi), hi - lo)
+    sol = stieltjes.solve_g(MODEL_SPLIT, z)
+    assert runs == [table.locate(z.real)[2]] and sol.residual <= 1e-12
+    cold = stieltjes._g_mu(MODEL_SPLIT, stieltjes._omega(MODEL_SPLIT, z)[0])
+    assert abs(sol.g - cold) <= 1e-12 * abs(cold)
+    runs.clear()
+    sol = stieltjes.solve_g(MODEL_SPLIT, complex(lo, hi - lo))
+    assert runs[0] is None and runs.count(None) == 1 and sol.residual <= 1e-12
 
 
 @pytest.mark.parametrize("p", ALL_MODELS)
@@ -192,16 +238,20 @@ def test_solve_g_off_the_support_starts_from_omega(p, monkeypatch):
     # value; on an edge, which is not off the support, the continuation runs
     cold = stieltjes._omega
     sup = subordination.support(p)
-    warms = spy_on_warm(monkeypatch)
+    runs = spy_on_runs(monkeypatch)
     monkeypatch.setattr(stieltjes, "_cdf_data", None)  # calling it fails
     for x in off_support_grid(sup):
         z = complex(x, 1e-9)
+        runs.clear()
         sol = stieltjes.solve_g(p, z)
-        assert sol.iterations == 1 and warms == [], (x, sol)
+        u0 = subordination.omega(p, x)
+        assert runs == [complex(u0, 1e-9 / subordination.phi_prime(p, u0))], x
+        assert sol.iterations == 1, (x, sol)
         want = stieltjes._g_mu(p, cold(p, z)[0])
         assert abs(sol.g - want) <= 1e-12 * abs(want), x
+    runs.clear()
     stieltjes.solve_g(p, complex(sup.max, 1e-9))
-    assert warms == [None]
+    assert runs[0] is None and runs.count(None) == 1
 
 
 @pytest.mark.parametrize("slope", [0.0, -1.0])
@@ -210,24 +260,30 @@ def test_solve_g_falls_back_to_the_continuation_where_phi_prime_is_not_positive(
     (_, a), (b, _) = subordination.support(MODEL_SPLIT).intervals
     z = complex(0.5 * (a + b), 1e-9)
     fast = stieltjes.solve_g(MODEL_SPLIT, z)
-    warms = spy_on_warm(monkeypatch)
+    runs = spy_on_runs(monkeypatch)
     monkeypatch.setattr(subordination, "phi_prime", lambda p, u: slope)
     sol = stieltjes.solve_g(MODEL_SPLIT, z)
-    assert warms == [None] and sol.iterations > 1
+    assert runs[0] is None and runs.count(None) == 1 and sol.iterations > 1
     assert abs(sol.g - fast.g) <= 1e-12 * abs(fast.g)
 
 
 def test_solve_g_falls_back_to_the_continuation_when_the_start_fails_its_checks(
         monkeypatch):
-    # a settled root whose g fails the acceptance checks is not the answer;
-    # the continuation's steps are counted after its own
-    z = complex(20.0, 1e-9)
-    fast = stieltjes.solve_g(MODEL_SPLIT, z)
-    warms = spy_on_warm(monkeypatch)
-    monkeypatch.setattr(stieltjes, "_newton_off_support", lambda p, w: (w + 1j, 3))
-    sol = stieltjes.solve_g(MODEL_SPLIT, z)
-    assert warms == [None] and sol.iterations > 3
-    assert abs(sol.g - fast.g) <= 1e-12 * abs(fast.g)
+    # a settled root whose g fails the acceptance checks is not the answer,
+    # from the start off the support or from the node inside it; the
+    # continuation runs once, and its steps are counted after the start's
+    (lo, hi), _ = subordination.support(MODEL_SPLIT).intervals
+    zs = (complex(20.0, 1e-9), complex(lo + 0.3 * (hi - lo), 1e-9))
+    fast = [stieltjes.solve_g(MODEL_SPLIT, z) for z in zs]
+    runs = spy_on_runs(monkeypatch, first=lambda w: w + 1j)
+    for z, want in zip(zs, fast):
+        with pytest.raises(ConvergenceError):  # the root the spy settles on
+            stieltjes._accepted(MODEL_SPLIT, z, z + 1j, 3)
+        runs.clear()
+        sol = stieltjes.solve_g(MODEL_SPLIT, z)
+        assert runs[0] is not None and runs[1] is None and runs.count(None) == 1, z
+        assert sol.iterations > 3
+        assert abs(sol.g - want.g) <= 1e-12 * abs(want.g)
 
 
 def upper_roots(f) -> list:
@@ -261,16 +317,44 @@ def transform_at_root(p: ModelParams):
     return lambda u: (1 - mpmath.polyval(P, u) / mpmath.polyval(R, u)) / s2c
 
 
+def g_error_bound(p: ModelParams, z: complex, u: complex) -> float:
+    """What g solved at z is held to against the oracle's g at its root u,
+    for atomic nu: 1e-12 of the sum of the moduli of the terms that
+    g = g_nu(u) / a(u) adds up, since g crosses zero in the gaps, plus
+    8 eps |z| |dg/dz|, since phi(u) = z is solved only to the rounding of z
+    and dg/dz = g_nu'(u) / (a(u)^2 phi'(u)) is large where phi' is small."""
+    gn, gp = measure.g_nu_and_prime(p.nu, u)
+    a = 1.0 + p.sigma ** 2 * p.c * gn
+    terms = sum(w / abs(u - t) for w, t in p.nu.atoms) / abs(a)
+    slope = abs(gp / (a * a * subordination.phi_and_prime(p, u)[1]))
+    return 1e-12 * terms + 8.0 * EPS * abs(z) * slope
+
+
 @given(atomic_measures(), st.floats(1e-3, 3.0), st.floats(0.05, 0.99))
 # three clusters of roots about 1e-6 wide, one at each atom
 @example(MeasureSpec(atoms=((1 / 3, 0.5), (1 / 3, 1.75), (1 / 3, 3.0))), 2.0 ** -9, 0.0625)
+# g crosses zero in a gap: |g| is 7.6e-5 and 1.6e-4 at x = 5.18 and 0.999,
+# and its error is at the rounding level of its terms
+@example(MeasureSpec(atoms=((0.534, 1.75), (0.466, 7.625))), 0.615234375, 0.22265625)
+@example(MeasureSpec(atoms=((0.5318028487460273, 0.01171875),
+                            (0.46819715125397265, 1.75))), 0.5, 0.75)
+# a gap 1.2e-5 wide at x = 7.44, where phi'(omega(x)) is 4e-4: the root is
+# off by 2e-12, as far as the continuation's, and g by 1e-12
+@example(MeasureSpec(atoms=((0.26687850360060794, 4.036675984403945),
+                            (0.26687850360060794, 6.4),
+                            (0.466242992798784, 8.821527173742163))),
+         0.3681405684930408, 0.9638696735094913)
+# x = 1.04e-4 in the gap below the lower edge at 1.22e-4, where phi'(omega(x))
+# is 0.0061 and the run from omega(x) takes two steps at y = 1e-9
+@example(MeasureSpec(atoms=((1.0, 0.5),)), 1.0, 0.984375)
 @settings(max_examples=20, deadline=None)
 def test_solve_g_off_the_support_against_the_polynomial_oracle(nu, sigma, c):
     # at z = x + iy off the support, N - z P^2 has two to four roots with
     # Im u > 0; omega(z) is the one that tends to the admissible real root
     # omega(x) (held at 60 digits by test_omega_against_the_polynomial_oracle)
-    # as y -> 0.  g there matches to 1e-12, and at y = 1e-9 one Newton step
-    # from omega(x) settles it
+    # as y -> 0.  g there matches within ``g_error_bound``, and at
+    # y = 1e-9 the start from omega(x), off the root by O(y^2 phi'' / phi'^3), is
+    # settled by Newton's quadratic convergence in two steps at most
     import mpmath
 
     p = ModelParams(sigma=sigma, c=c, nu=nu)
@@ -281,19 +365,12 @@ def test_solve_g_off_the_support_against_the_polynomial_oracle(nu, sigma, c):
             for y in (1e-9, 1e-6, 1e-3):
                 z = complex(x, y)
                 roots = upper_roots(poly(mpmath.mpc(z)))
-                want = complex(g_at(min(roots, key=lambda u: abs(u - near))))
+                root = min(roots, key=lambda u: abs(u - near))
+                want = complex(g_at(root))
                 sol = stieltjes.solve_g(p, z)
-                assert abs(sol.g - want) <= 1e-12 * abs(want), (z, sol, want)
-                assert y > 1e-9 or sol.iterations == 1, (z, sol)
-
-
-def test_locate_reads_y_for_a_float_only():
-    table = stieltjes._cdf_data(MODEL_SPLIT)
-    (lo, hi), _ = subordination.support(MODEL_SPLIT).intervals
-    x = 0.5 * (lo + hi)
-    assert table.locate(x, y=hi - lo)[2] is None
-    with pytest.raises(ValueError, match="float x only"):
-        table.locate(np.array([x]), y=1e-9)
+                bound = g_error_bound(p, z, complex(root))
+                assert abs(sol.g - want) <= bound, (z, sol, want, bound)
+                assert y > 1e-9 or sol.iterations <= 2, (z, sol)
 
 
 # ---------------------------------------------------------------------------
